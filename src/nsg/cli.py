@@ -12,7 +12,8 @@ import sys
 import click
 
 from .constructions import GluingSpec, glue, glued_invariants, lift, lifted_invariants, verify_construction
-from .errors import NsgError
+from .errors import InvalidSetting, NsgError
+from .ideals import trace_and_residue
 from .scan import (
     build_record,
     canonical_json,
@@ -23,7 +24,7 @@ from .scan import (
     write_jsonl,
 )
 from .semigroup import NumericalSemigroup, new_semigroup
-from .toric import acm_and_hypothesis, projective_ng_verdict
+from .toric import ClosureVerdict, acm_and_hypothesis
 
 
 def _parse_generators(text: str) -> NumericalSemigroup:
@@ -158,27 +159,30 @@ def toric(generators: str, as_json: bool) -> None:
     """Projective-closure verdict for the monomial curve of GENERATORS."""
     s = _parse_generators(generators)
     try:
-        verdict = projective_ng_verdict(s)
-        gb = acm_and_hypothesis(s).gb
+        report = acm_and_hypothesis(s)
+        verdict = ClosureVerdict.from_report(report, trace_and_residue(s).nearly_gorenstein)
     except NsgError as exc:
         raise click.UsageError(str(exc))
     if as_json:
-        click.echo(canonical_json({**verdict.to_json(), "gb": gb.to_json()}))
+        click.echo(canonical_json({**verdict.to_json(), "gb": report.gb.to_json()}))
     else:
         _echo_table(verdict.to_json())
-        click.echo(f"basis elements: {len(gb.elements)}")
+        click.echo(f"basis elements: {len(report.gb.elements)}")
 
 
 @main.command()
 @click.argument("family", type=click.Choice(["random", "arithmetic", "gluing", "lifting"]))
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--limit", type=int, default=100, show_default=True, help="Instance count (0 for an empty scan).")
-@click.option("--max-multiplicity", type=int, default=8, show_default=True)
+@click.option("--max-multiplicity", type=click.IntRange(min=3), default=8, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="JSONL file to append to.")
 @click.option("--verify", is_flag=True, help="Verify construction predictions (gluing and lifting).")
 def scan(family: str, seed: int, limit: int, max_multiplicity: int, out: str, verify: bool) -> None:
     """Scan a family of semigroups and append one JSONL record each."""
-    records = scan_family(family, seed=seed, limit=limit, max_multiplicity=max_multiplicity, verify=verify)
+    try:
+        records = scan_family(family, seed=seed, limit=limit, max_multiplicity=max_multiplicity, verify=verify)
+    except InvalidSetting as exc:
+        raise click.UsageError(str(exc))
     try:
         write_jsonl(out, records)
     except OSError as exc:

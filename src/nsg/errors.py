@@ -59,3 +59,7 @@ class NonMinimalSequence(NsgError):
 
 class EmbeddingDimensionTooSmall(NsgError):
     """The toric operation needs more generators than the semigroup has."""
+
+
+class InvalidSetting(NsgError):
+    """An environment setting, such as NSG_THREADS, has an unusable value."""

@@ -27,10 +27,10 @@ from .constructions import (
     lifted_invariants,
     verify_construction,
 )
-from .errors import GluingError
+from .errors import GluingError, InvalidSetting
 from .ideals import gap_bound_check, trace_and_residue
 from .semigroup import NumericalSemigroup, gap_profile, new_semigroup, pseudo_frobenius
-from .toric import projective_ng_verdict
+from .toric import ClosureVerdict, acm_and_hypothesis
 
 __all__ = [
     "ScanRecord",
@@ -131,7 +131,8 @@ def info_payload(s: NumericalSemigroup, toric: bool = False, slack: bool = False
     if slack:
         payload["slack"] = report.gap_bound - report.residue
     if toric:
-        payload["closure"] = projective_ng_verdict(s).to_json()
+        verdict = ClosureVerdict.from_report(acm_and_hypothesis(s), report.nearly_gorenstein)
+        payload["closure"] = verdict.to_json()
     return payload
 
 
@@ -225,8 +226,10 @@ def _worker_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        n = 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise InvalidSetting(f"NSG_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def _pmap(fn: Callable, items: list) -> list:

@@ -1,9 +1,11 @@
 """Binomial Groebner machinery for defining ideals of monomial curves.
 
 Everything is a pure-difference binomial (coefficients +1/-1), so S-pairs
-and reductions collapse to integer lattice operations on exponent vectors.
-The defining ideal of a semigroup is computed by eliminating the parameter
-variable from the graph ideal of the monomial map.
+and reductions collapse to integer lattice operations on exponent tuples,
+done in plain Python ints.  ``buchberger`` prunes S-pairs with the
+Gebauer-Moeller criteria before reducing them.  The defining ideal of a
+semigroup is computed by eliminating the parameter variable from the graph
+ideal of the monomial map.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import EmbeddingDimensionTooSmall
 from .ideals import trace_and_residue
@@ -109,6 +109,10 @@ def _oriented(a: Monomial, b: Monomial, order: MonomialOrder) -> Binomial | None
     return Binomial(a, b) if order.greater(a, b) else Binomial(b, a)
 
 
+def _lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(x if x > y else y for x, y in zip(a, b))
+
+
 def _divides(small: Monomial, big: Monomial) -> bool:
     for s, b in zip(small, big):
         if s > b:
@@ -119,43 +123,34 @@ def _divides(small: Monomial, big: Monomial) -> bool:
 class _Reducer:
     """Rewriting system over a growing list of oriented binomials.
 
-    Leads and tails live in numpy arrays so the divisor scan (first divisor
-    in insertion order) is a single vectorized comparison per rewrite step.
+    Leads and tails are plain int tuples; each rewrite step uses the first
+    lead in insertion order that divides the monomial.
     """
 
-    __slots__ = ("nvars", "count", "leads", "tails")
+    __slots__ = ("leads", "tails")
 
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.count = 0
-        self.leads = np.zeros((16, nvars), dtype=np.int64)
-        self.tails = np.zeros((16, nvars), dtype=np.int64)
+    def __init__(self, elements: Iterable[Binomial] = ()):
+        self.leads: list[Monomial] = []
+        self.tails: list[Monomial] = []
+        for b in elements:
+            self.add(b)
 
     def add(self, b: Binomial) -> None:
-        if self.count == len(self.leads):
-            self.leads = np.vstack([self.leads, np.zeros_like(self.leads)])
-            self.tails = np.vstack([self.tails, np.zeros_like(self.tails)])
-        self.leads[self.count] = b.plus
-        self.tails[self.count] = b.minus
-        self.count += 1
+        self.leads.append(b.plus)
+        self.tails.append(b.minus)
 
     def reduce(self, m: Monomial) -> Monomial:
-        vec = np.asarray(m, dtype=np.int64)
-        leads = self.leads[: self.count]
-        tails = self.tails[: self.count]
+        leads, tails = self.leads, self.tails
         while True:
-            fits = (leads <= vec).all(axis=1)
-            i = int(fits.argmax())
-            if not fits[i]:
-                return tuple(int(x) for x in vec)
-            vec = vec - leads[i] + tails[i]
-
-
-def _reducer_for(elements: Iterable[Binomial], nvars: int) -> _Reducer:
-    red = _Reducer(nvars)
-    for b in elements:
-        red.add(b)
-    return red
+            for lead, tail in zip(leads, tails):
+                for a, x in zip(lead, m):
+                    if a > x:
+                        break
+                else:
+                    m = tuple(x - a + t for x, a, t in zip(m, lead, tail))
+                    break
+            else:
+                return m
 
 
 @dataclass(frozen=True)
@@ -179,41 +174,77 @@ class GroebnerBasis:
 
 
 def buchberger(gens: Iterable[Binomial], order: MonomialOrder) -> GroebnerBasis:
-    """Reduced Groebner basis via Buchberger's algorithm.
+    """Reduced Groebner basis via Buchberger's algorithm; fully deterministic.
 
-    Normal pair selection (smallest lcm degree, ties by insertion index)
-    with the coprime-leading-monomial criterion; fully deterministic.
+    Normal pair selection: smallest lcm degree, ties by insertion index.
+    Each new element h updates the pair set by the Gebauer-Moeller criteria
+    (J. Symbolic Comput. 6, 1988):
+
+    - B (chain): an old pair (i, k) is dropped when lead(h) divides its lcm
+      and both lcm(i, h) and lcm(k, h) differ from it;
+    - M: a new pair (i, h) is dropped when another new pair's lcm properly
+      divides its lcm;
+    - F: one new pair is kept per distinct lcm, and none when any pair with
+      that lcm has coprime leads (its S-pair reduces to zero).
+
+    Older elements whose lead lead(h) divides then form no new pairs, but
+    stay in the reducer.
     """
     basis: list[Binomial] = []
-    seen: set[tuple[Monomial, Monomial]] = set()
-    nvars = len(order.variables)
-    reducer = _Reducer(nvars)
-    pairs: list[tuple[int, int, int]] = []
+    live: list[bool] = []  # may still form new pairs
+    pairs: dict[tuple[int, int], Monomial] = {}
+    heap: list[tuple[int, int, int]] = []
+    reducer = _Reducer()
 
-    def push(b: Binomial) -> None:
-        seen.add((b.plus, b.minus))
+    def push(h: Binomial) -> None:
         j = len(basis)
-        for i in range(j):
-            lcm_deg = sum(max(a, b_) for a, b_ in zip(basis[i].plus, b.plus))
-            heapq.heappush(pairs, (lcm_deg, i, j))
-        basis.append(b)
-        reducer.add(b)
+        lead = h.plus
+        with_h = [_lcm(b.plus, lead) for b in basis]
+        for (i, k), lcm in list(pairs.items()):
+            if _divides(lead, lcm) and with_h[i] != lcm and with_h[k] != lcm:
+                del pairs[i, k]  # B
+        # lcm -> (first i, whether any pair with this lcm has coprime leads)
+        classes: dict[Monomial, tuple[int, bool]] = {}
+        deg_h = sum(lead)
+        for i, b in enumerate(basis):
+            if live[i]:
+                lcm = with_h[i]
+                first, coprime = classes.get(lcm, (i, False))
+                classes[lcm] = (first, coprime or sum(lcm) == sum(b.plus) + deg_h)
+        # the lcms are distinct, so a divisor among the smaller-degree
+        # survivors is a proper divisor, and survivors suffice by transitivity
+        minimal: list[Monomial] = []
+        for lcm in sorted(classes, key=sum):
+            if any(_divides(m, lcm) for m in minimal):
+                continue  # M
+            minimal.append(lcm)
+            i, coprime = classes[lcm]
+            if not coprime:  # F
+                pairs[i, j] = lcm
+                heapq.heappush(heap, (sum(lcm), i, j))
+        for i, b in enumerate(basis):
+            if live[i] and _divides(lead, b.plus):
+                live[i] = False
+        basis.append(h)
+        live.append(True)
+        reducer.add(h)
 
     for g in gens:
         b = _oriented(g.plus, g.minus, order)
-        if b is not None and (b.plus, b.minus) not in seen:
+        if b is not None:
             push(b)
 
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
+            continue  # dropped by B after it was queued
         f, g = basis[i], basis[j]
-        lcm = tuple(max(a, b) for a, b in zip(f.plus, g.plus))
-        if all(a + b == c for a, b, c in zip(f.plus, g.plus, lcm)):
-            continue  # coprime leads: S-pair reduces to zero
         left = reducer.reduce(tuple(c - a + m for c, a, m in zip(lcm, f.plus, f.minus)))
         right = reducer.reduce(tuple(c - b + m for c, b, m in zip(lcm, g.plus, g.minus)))
+        # both sides are fully reduced, so a new element never repeats an old one
         b = _oriented(left, right, order)
-        if b is not None and (b.plus, b.minus) not in seen:
+        if b is not None:
             push(b)
 
     # minimalize: drop elements whose lead is divisible by another kept lead
@@ -225,7 +256,7 @@ def buchberger(gens: Iterable[Binomial], order: MonomialOrder) -> GroebnerBasis:
             kept.append(basis[i])
 
     # interreduce tails against the kept leads
-    final = _reducer_for(kept, nvars)
+    final = _Reducer(kept)
     reduced = [Binomial(b.plus, final.reduce(b.minus)) for b in kept]
 
     flags = tuple(b.homogeneous for b in reduced)
@@ -238,7 +269,7 @@ def normal_form(item: Binomial | Monomial, gb: GroebnerBasis) -> Binomial | Mono
     Monomials reduce to monomials (pure-difference rewriting never cancels
     a lone monomial).
     """
-    red = _reducer_for(gb.elements, gb.nvars)
+    red = _Reducer(gb.elements)
     if isinstance(item, Binomial):
         left = red.reduce(item.plus)
         right = red.reduce(item.minus)
@@ -248,12 +279,12 @@ def normal_form(item: Binomial | Monomial, gb: GroebnerBasis) -> Binomial | Mono
 
 def is_groebner(gb: GroebnerBasis) -> bool:
     """Buchberger criterion: every S-pair reduces to zero."""
-    red = _reducer_for(gb.elements, gb.nvars)
+    red = _Reducer(gb.elements)
     n = len(gb.elements)
     for i in range(n):
         for j in range(i + 1, n):
             f, g = gb.elements[i], gb.elements[j]
-            lcm = tuple(max(a, b) for a, b in zip(f.plus, g.plus))
+            lcm = _lcm(f.plus, g.plus)
             left = red.reduce(tuple(c - a + m for c, a, m in zip(lcm, f.plus, f.minus)))
             right = red.reduce(tuple(c - b + m for c, b, m in zip(lcm, g.plus, g.minus)))
             if left != right:
@@ -381,6 +412,19 @@ class ClosureVerdict:
     affine_ng: bool
     projective_ng: bool | None
 
+    @classmethod
+    def from_report(cls, report: AcmHypothesisReport, affine_ng: bool) -> ClosureVerdict:
+        """The verdict from a finished toric report and the affine
+        nearly-Gorenstein flag, for callers that already hold both."""
+        applicable = report.acm and report.hypothesis
+        return cls(
+            acm=report.acm,
+            hypothesis=report.hypothesis,
+            applicable=applicable,
+            affine_ng=affine_ng,
+            projective_ng=affine_ng if applicable else None,
+        )
+
     def to_json(self) -> dict:
         payload = {
             "acm": self.acm,
@@ -413,15 +457,7 @@ def acm_and_hypothesis(s: NumericalSemigroup) -> AcmHypothesisReport:
 def projective_ng_verdict(s: NumericalSemigroup) -> ClosureVerdict:
     """Combine the transfer criterion with the affine residue computation."""
     report = acm_and_hypothesis(s)
-    affine_ng = trace_and_residue(s).nearly_gorenstein
-    applicable = report.acm and report.hypothesis
-    return ClosureVerdict(
-        acm=report.acm,
-        hypothesis=report.hypothesis,
-        applicable=applicable,
-        affine_ng=affine_ng,
-        projective_ng=affine_ng if applicable else None,
-    )
+    return ClosureVerdict.from_report(report, trace_and_residue(s).nearly_gorenstein)
 
 
 @dataclass(frozen=True)
@@ -432,49 +468,20 @@ class ArithmeticGbReport:
 
 
 def arithmetic_gb(n1: int, d: int, e: int) -> ArithmeticGbReport:
-    """Published explicit basis for an arithmetic-sequence curve, validated.
+    """Basis of an arithmetic-sequence curve, checked against the published one.
 
-    The quadric family x_i*x_j - x_{i-1}*x_{j+1} is checked for membership;
-    the second family as printed indexes a variable past the end of the
-    variable list, which is recorded as a discrepancy and triggers fallback
-    to the computed basis rather than guessing the intended index.
+    The second family as printed indexes x_(e+i), past the end of the
+    variable list.  Writing n1 = q*(e-1) + r' with r' in [1, e-1], that
+    family has e - r' >= 1 members, so the printed set is never usable: the
+    discrepancy is recorded and the computed basis returned instead of
+    guessing the intended index.
     """
     from .constructions import arithmetic_semigroup
 
-    s = arithmetic_semigroup(n1, d, e)
-    reference = reduced_gb(s)
-    discrepancies: list[str] = []
-
-    def var(i: int) -> Monomial:
-        return tuple(1 if k == i - 1 else 0 for k in range(e))
-
-    quadrics = []
-    for i in range(2, e):
-        for j in range(i, e):
-            plus = tuple(a + b for a, b in zip(var(i), var(j)))
-            minus = tuple(a + b for a, b in zip(var(i - 1), var(j + 1)))
-            quadrics.append(Binomial(plus, minus))
-    for b in quadrics:
-        if normal_form(b, reference) is not None:
-            discrepancies.append(f"quadric {b} is not in the defining ideal")
-
-    q, remainder = divmod(n1 - 1, e - 1)
-    r_prime = remainder + 1  # n1 = q*(e-1) + r_prime with r_prime in [1, e-1]
-    second_family_size = e - r_prime
-    if second_family_size >= 1:
-        discrepancies.append(
-            f"second family as printed uses x_(e+i) with e={e}, i up to {second_family_size}, "
-            "which is outside the variable list"
-        )
-
-    if discrepancies:
-        return ArithmeticGbReport(gb=reference, printed_set_used=False, discrepancies=tuple(discrepancies))
-
-    candidate = buchberger(quadrics, reference.order)
-    if candidate.elements != reference.elements:
-        return ArithmeticGbReport(
-            gb=reference,
-            printed_set_used=False,
-            discrepancies=("printed set does not generate the defining ideal",),
-        )
-    return ArithmeticGbReport(gb=candidate, printed_set_used=True, discrepancies=())
+    reference = reduced_gb(arithmetic_semigroup(n1, d, e))
+    r_prime = (n1 - 1) % (e - 1) + 1
+    discrepancy = (
+        f"second family as printed uses x_(e+i) with e={e}, i up to {e - r_prime}, "
+        "which is outside the variable list"
+    )
+    return ArithmeticGbReport(gb=reference, printed_set_used=False, discrepancies=(discrepancy,))

@@ -264,3 +264,21 @@ class TestCli:
     def test_hunt_invalid_genus(self, runner):
         result = runner.invoke(main, ["hunt", "--max-genus", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("family", ["random", "arithmetic", "gluing", "lifting"])
+    def test_scan_max_multiplicity_below_three_exits_2(self, runner, tmp_path, family):
+        out = tmp_path / "scan.jsonl"
+        args = ["scan", family, "--limit", "2", "--max-multiplicity", "2", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "--max-multiplicity" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_scan_bad_thread_count_exits_2(self, runner, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("NSG_THREADS", value)
+        out = tmp_path / "scan.jsonl"
+        result = runner.invoke(main, ["scan", "random", "--limit", "2", "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"NSG_THREADS must be a positive integer, got {value!r}" in result.output
+        assert not out.exists()

@@ -1,7 +1,12 @@
+import hashlib
+import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from nsg.constructions import arithmetic_semigroup
 from nsg.errors import EmbeddingDimensionTooSmall
 from nsg.semigroup import new_semigroup
 from nsg.toric import (
@@ -20,6 +25,7 @@ from nsg.toric import (
 )
 
 from oracles import fiber_monomials
+from strategies import semigroups
 
 
 class TestMonomialOrders:
@@ -265,3 +271,34 @@ def test_buchberger_deterministic_repeat():
 def test_groebner_bases_pass_spair_criterion():
     for gens in ([3, 4, 5], [4, 5, 7], [4, 6, 7], [5, 6, 7, 8, 9], [8, 10, 12, 15], [3, 10, 14]):
         assert is_groebner(reduced_gb(new_semigroup(gens)))
+
+
+def test_small_arithmetic_grid_bases_pinned():
+    # reduced bases are unique, so no pair-pruning rule may move this digest
+    # of the 73 n1 <= 8 grid bases, recorded with an unpruned Buchberger loop
+    bases = [
+        reduced_gb(arithmetic_semigroup(n1, d, e)).to_json()
+        for n1 in range(3, 9)
+        for d in range(1, 6)
+        if math.gcd(n1, d) == 1
+        for e in range(3, n1 + 1)
+    ]
+    assert len(bases) == 73
+    text = json.dumps(bases, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "036cc58b97083eeb8ee1afef90993603cec286a3c07182dd70b68f657e42afa8"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(semigroups(max_multiplicity=6, max_extra=3))
+def test_normal_form_is_smallest_fiber_member(s):
+    # a complete basis sends every monomial of one weighted degree to the
+    # same normal form, the degrevlex-least monomial of that degree
+    gb = reduced_gb(s)
+    for value in range(2 * s.generators[-1] + 1):
+        fiber = fiber_monomials(s.generators, value)
+        if not fiber:
+            continue
+        smallest = min(fiber, key=gb.order.key)
+        assert {normal_form(m, gb) for m in fiber} == {smallest}, (s.generators, value)
