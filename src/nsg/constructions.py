@@ -135,15 +135,16 @@ def _dilate(ind: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _predicted_glued_trace(spec: GluingSpec, built: NumericalSemigroup) -> RelativeIdeal:
-    """The set {mu*a + lam*b : a, b in the factor traces} in canonical form.
+def _predicted_glued_trace(
+    spec: GluingSpec, built: NumericalSemigroup, tl: RelativeIdeal, tr: RelativeIdeal
+) -> RelativeIdeal:
+    """The set {mu*a + lam*b : a in tl, b in tr} in canonical form, where tl
+    and tr are the traces of the left and right factors.
 
     Everything from mu*c1 + lam*c2 + mu*lam on is a sum of tail elements
     (coprimality of mu and lam covers the residues), so a finite convolution
     suffices.
     """
-    tl = trace_and_residue(spec.left).trace
-    tr = trace_and_residue(spec.right).trace
     bound = spec.mu * tl.conductor + spec.lam * tr.conductor + spec.mu * spec.lam
     li = _dilate(tl.indicator(tl.min_element, tl.conductor + spec.lam + 1), spec.mu)
     ri = _dilate(tr.indicator(tr.min_element, tr.conductor + spec.mu + 1), spec.lam)
@@ -155,14 +156,13 @@ def _predicted_glued_trace(spec: GluingSpec, built: NumericalSemigroup) -> Relat
 
 def glued_invariants(spec: GluingSpec) -> PredictedInvariants:
     """Predict all invariants of the gluing from the factors alone."""
-    _validate(spec)
     built = glue(spec)
     lam, mu = spec.lam, spec.mu
     f1, f2 = spec.left.frobenius, spec.right.frobenius
     pf = tuple(sorted({mu * g + lam * h + mu * lam for g in _pf_elements(spec.left) for h in _pf_elements(spec.right)}))
     rep1, rep2 = trace_and_residue(spec.left), trace_and_residue(spec.right)
     gp1, gp2 = gap_profile(spec.left), gap_profile(spec.right)
-    trace_set = _predicted_glued_trace(spec, built)
+    trace_set = _predicted_glued_trace(spec, built, rep1.trace, rep2.trace)
     return PredictedInvariants(
         frobenius=mu * f1 + lam * f2 + mu * lam,
         pf=pf,

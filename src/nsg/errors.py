@@ -17,6 +17,10 @@ class TrivialSemigroup(NsgError):
     """The operation needs a gap, but the semigroup is all of the naturals."""
 
 
+class InputTooLarge(NsgError):
+    """The semigroup's multiplicity or Frobenius number exceeds the size limit."""
+
+
 class AmbientMismatch(NsgError):
     """Two relative ideals live over different semigroups."""
 

@@ -1,9 +1,12 @@
 """Exact arithmetic of numerical semigroups.
 
 A numerical semigroup is a subset of the nonnegative integers closed under
-addition, containing 0, with finite complement.  Everything here is computed
-exactly over a boolean membership window of size multiplicity * max_generator,
-which always covers the Frobenius number.
+addition, containing 0, with finite complement.  Each one is stored as its
+Apery set w.r.t. the multiplicity m (the least member of every residue class
+mod m), built from the generators in O(generators * m) integer steps.  The
+Frobenius number, membership, minimality and the pseudo-Frobenius numbers
+all follow from it; boolean membership arrays are materialized on demand,
+one byte per position, for the ideal layer.
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, GcdNotOne, TrivialSemigroup
+from .errors import EmptyInput, GcdNotOne, InputTooLarge, TrivialSemigroup
+
+# Largest multiplicity and Frobenius number accepted: the Apery table grows
+# with m, and membership arrays, gap lists and ideal convolutions with F.
+SIZE_LIMIT = 10**7
 
 __all__ = [
     "NumericalSemigroup",
@@ -26,47 +33,47 @@ __all__ = [
 ]
 
 
-def _closure_table(generators: Sequence[int], size: int) -> np.ndarray:
-    """Boolean table over [0, size]: reachable sums of the generators.
+def _apery_table(gens: Sequence[int]) -> list[int]:
+    """Apery set of <gens> w.r.t. m = gens[0], indexed by residue mod m.
 
-    Forward DP, one generator at a time; the inner doubling closes the table
-    under repeated addition of that generator before the next one is folded in.
+    Boecker-Liptak round robin: fold in one generator a at a time; within each
+    class mod gcd(a, m), start at the smallest entry found so far and walk
+    the cycle r -> r + a (mod m) once, keeping the smaller of the old entry
+    and the predecessor plus a.  O(len(gens) * m) integer steps.
     """
-    table = np.zeros(size + 1, dtype=bool)
-    table[0] = True
-    for g in generators:
-        step = g
-        while step <= size:
-            table[step:] |= table[:-step]
-            step *= 2
-    return table
-
-
-def _is_redundant(g: int, others: Sequence[int]) -> bool:
-    """True iff g is a sum of the other generators (so not needed)."""
-    small = [h for h in others if h <= g]
-    if not small:
-        return False
-    return bool(_closure_table(small, g)[g])
+    m = gens[0]
+    table = [math.inf] * m
+    table[0] = 0
+    for a in gens[1:]:
+        d = math.gcd(a, m)
+        for r in range(d):
+            n = min(table[r::d])
+            if n == math.inf:
+                continue
+            for _ in range(m // d - 1):
+                n += a
+                p = n % m
+                if table[p] < n:
+                    n = table[p]
+                else:
+                    table[p] = n
+    return table  # gcd 1 leaves no class at infinity
 
 
 class NumericalSemigroup:
-    """A numerical semigroup, stored as its minimal generators plus caches.
+    """A numerical semigroup, stored as its Apery set w.r.t. the multiplicity.
 
-    Instances are immutable after construction and safe to share between
-    threads.  Construction reduces a non-minimal input generating set and
-    records that this happened in ``was_reduced``.
+    ``apery[r]`` is the least member congruent to r mod the multiplicity m,
+    so x >= 0 is a member iff x >= apery[x % m]; the Frobenius number, the
+    minimal generators, the pseudo-Frobenius numbers and every membership
+    array derive from it.  Instances are immutable after construction and
+    safe to share between threads.  Construction reduces a non-minimal input
+    generating set and records that this happened in ``was_reduced``.
+    Inputs whose multiplicity or Frobenius number exceeds ``SIZE_LIMIT`` are
+    refused with ``InputTooLarge``.
     """
 
-    __slots__ = (
-        "generators",
-        "multiplicity",
-        "frobenius",
-        "apery",
-        "was_reduced",
-        "window_size",
-        "_window",
-    )
+    __slots__ = ("generators", "multiplicity", "frobenius", "apery", "was_reduced")
 
     def __init__(self, raw_generators: Iterable[int]):
         raw = list(raw_generators)
@@ -78,25 +85,22 @@ class NumericalSemigroup:
             raise GcdNotOne(f"gcd of {sorted(set(raw))} is {math.gcd(*raw)}, not 1")
 
         gens = sorted(set(raw))
-        minimal = [g for i, g in enumerate(gens) if not _is_redundant(g, gens[:i] + gens[i + 1 :])]
+        m = gens[0]
+        if m > SIZE_LIMIT:
+            raise InputTooLarge(f"multiplicity {m} exceeds the size limit {SIZE_LIMIT}")
+        self.multiplicity: int = m
+        self.apery: tuple[int, ...] = tuple(_apery_table(gens))
+        self.frobenius: int = max(self.apery) - m
+        if self.frobenius > SIZE_LIMIT:
+            raise InputTooLarge(f"Frobenius number {self.frobenius} exceeds the size limit {SIZE_LIMIT}")
+
+        # g is redundant iff g - h is a member for a smaller minimal generator h
+        minimal: list[int] = []
+        for g in gens:
+            if not any(self.contains(g - h) for h in minimal):
+                minimal.append(g)
         self.generators: tuple[int, ...] = tuple(minimal)
-        self.was_reduced: bool = list(minimal) != sorted(raw)
-        self.multiplicity: int = minimal[0]
-
-        # W = n1 * ne bounds F + ne, so every lookup below stays in range.
-        self.window_size: int = minimal[0] * minimal[-1]
-        self._window: np.ndarray = _closure_table(minimal, self.window_size)
-        self._window.setflags(write=False)
-
-        members = np.nonzero(self._window)[0]
-        residues, first = np.unique(members % self.multiplicity, return_index=True)
-        if len(residues) != self.multiplicity:
-            raise AssertionError("membership window too small for the Apery set")
-        apery = [0] * self.multiplicity
-        for r, idx in zip(residues, first):
-            apery[int(r)] = int(members[idx])
-        self.apery: tuple[int, ...] = tuple(apery)
-        self.frobenius: int = max(apery) - self.multiplicity
+        self.was_reduced: bool = minimal != sorted(raw)
 
     @property
     def embedding_dimension(self) -> int:
@@ -106,21 +110,22 @@ class NumericalSemigroup:
     def is_naturals(self) -> bool:
         return self.generators == (1,)
 
+    @property
+    def window_size(self) -> int:
+        """n1 * ne, which exceeds F + ne by Schur's bound F <= (n1 - 1)(ne - 1) - 1."""
+        return self.generators[0] * self.generators[-1]
+
     def contains(self, x: int) -> bool:
         """Membership test, valid for any integer."""
-        if x < 0:
-            return False
-        if x > self.frobenius:
-            return True
-        return bool(self._window[x])
+        return x >= 0 and x >= self.apery[x % self.multiplicity]
 
     def member_mask(self, size: int) -> np.ndarray:
         """Boolean membership indicator over [0, size)."""
-        mask = np.ones(size, dtype=bool)
-        upper = min(size, self.frobenius + 1)
-        if upper > 0:
-            mask[:upper] = self._window[:upper]
-        return mask
+        m = self.multiplicity
+        rows = -(-size // m)
+        # row q, column r stands for q * m + r, a member iff q >= apery[r] // m
+        grid = np.arange(rows)[:, None] >= np.array(self.apery) // m
+        return grid.ravel()[:size]
 
     def members_below(self, bound: int) -> list[int]:
         """All semigroup elements in [0, bound)."""
@@ -179,17 +184,17 @@ def gap_profile(s: NumericalSemigroup) -> GapProfile:
 
 
 def pseudo_frobenius(s: NumericalSemigroup) -> PseudoFrobeniusSet:
-    """Exact pseudo-Frobenius set.
+    """Exact pseudo-Frobenius set: w - m over the Apery elements w that are
+    maximal under w <= w' iff w' - w is a member.
 
-    Checking x + g for the generators g suffices: any nonzero member is a sum
-    of generators, and the ideal property propagates along that sum.
+    Everything below an Apery element in that order is an Apery element too,
+    so w is maximal iff no w + g with g a generator other than m is one.
     """
     if s.is_naturals:
         raise TrivialSemigroup("the naturals have no gaps, hence no pseudo-Frobenius numbers")
-    f = s.frobenius
-    table = s._window
-    mask = ~table[1 : f + 1]
-    for g in s.generators:
-        mask = mask & table[1 + g : f + 1 + g]
-    elements = tuple(int(x) + 1 for x in np.nonzero(mask)[0])
+    m = s.multiplicity
+    apery = np.array(s.apery)
+    sums = apery[:, None] + np.array(s.generators[1:])
+    maximal = apery[~np.any(apery[sums % m] == sums, axis=1)]
+    elements = tuple(int(w) - m for w in np.sort(maximal))
     return PseudoFrobeniusSet(elements=elements, type=len(elements))

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import nsg.cli as cli_mod
+import nsg.semigroup as semigroup_mod
 from nsg.cli import main
 from nsg.scan import (
     canonical_json,
@@ -153,6 +154,22 @@ class TestCli:
         result = runner.invoke(main, ["info", "2,4"])
         assert result.exit_code == 2
         assert "gcd" in result.output
+
+    def test_info_multiplicity_too_large(self, runner, monkeypatch):
+        def refuse(gens):
+            raise AssertionError("the Apery table must not be built")
+
+        monkeypatch.setattr(semigroup_mod, "_apery_table", refuse)
+        result = runner.invoke(main, ["info", "100000007,100000037"])
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == "Error: multiplicity 100000007 exceeds the size limit 10000000"
+
+    def test_info_frobenius_too_large(self, runner):
+        result = runner.invoke(main, ["info", "20011,1000000007"])
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            "Error: Frobenius number 20010000120059 exceeds the size limit 10000000"
+        )
 
     def test_info_parse_error(self, runner):
         result = runner.invoke(main, ["info", "3,x"])

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nsg.errors import EmptyInput, GcdNotOne, TrivialSemigroup
 from nsg.semigroup import gap_profile, new_semigroup, pseudo_frobenius
@@ -119,7 +122,20 @@ class TestPseudoFrobenius:
 @given(semigroups())
 def test_window_matches_dp_oracle(s):
     table = dp_membership(s.generators, s.window_size)
-    assert np.array_equal(s._window, np.array(table))
+    assert np.array_equal(s.member_mask(s.window_size + 1), np.array(table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.data())
+def test_non_minimal_input_matches_dp_oracle(raw, data):
+    # pad with sums and repeats of the drawn generators, so reduction has work
+    raw = raw + data.draw(st.lists(st.sampled_from(raw), max_size=3))
+    raw = raw + [a + b for a, b in zip(raw, raw[1:])]
+    assume(math.gcd(*raw) == 1)
+    s = new_semigroup(raw)
+    table = dp_membership(raw, s.window_size)
+    assert [s.contains(x) for x in range(s.window_size + 1)] == table
+    assert np.array_equal(s.member_mask(s.window_size + 1), np.array(table))
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,5 +180,12 @@ def test_generators_are_minimal(s):
 @settings(max_examples=40, deadline=None)
 @given(semigroups())
 def test_window_safety_property(s):
-    tail = s._window[s.frobenius + 1 :]
+    tail = s.member_mask(s.window_size + 1)[s.frobenius + 1 :]
     assert bool(tail.all())
+    assert tail.tolist() == dp_membership(s.generators, s.window_size)[s.frobenius + 1 :]
+
+
+def test_large_semigroup_from_apery_set():
+    s = new_semigroup([5003, 7001, 9001, 9007])
+    assert s.frobenius == 3025335
+    assert gap_profile(s).genus == 1514040 == selmer_genus(s.apery, s.multiplicity)
