@@ -11,10 +11,11 @@ import sys
 
 import click
 
-from .constructions import GluingSpec, glue, glued_invariants, lift, lifted_invariants, verify_construction
+from .constructions import GluingSpec, _glued_invariants, glue, lift, lifted_invariants, verify_construction
 from .errors import InvalidSetting, NsgError
 from .ideals import trace_and_residue
 from .scan import (
+    _invariants,
     build_record,
     canonical_json,
     hunt as run_hunt,
@@ -85,7 +86,7 @@ def _report_verification(predicted, built, as_json: bool) -> None:
                     "generators": list(built.generators),
                     "verified": outcome.verified,
                     "discrepancies": list(outcome.discrepancies),
-                    "invariants_json": info_payload(built),
+                    "invariants_json": _invariants(built, outcome.computed.trace),
                 }
             )
         )
@@ -130,7 +131,7 @@ def glue_cmd(left: str, right: str, lam: int, mu: int, verify: bool, as_json: bo
     spec = GluingSpec(l, r, lam, mu)
     try:
         built = glue(spec)
-        predicted = glued_invariants(spec)
+        predicted = _glued_invariants(spec, built)
     except (NsgError, ValueError) as exc:
         raise click.UsageError(str(exc))
     _report_construction(predicted, built, verify, as_json)

@@ -23,7 +23,7 @@ from .errors import (
     NonMinimalSequence,
     ScaledSetsIntersect,
 )
-from .ideals import RelativeIdeal, TraceReport, _bool_convolve, _normalize, minimal_generators, trace_and_residue
+from .ideals import RelativeIdeal, TraceReport, _from_class_mins, _min_gens, _sum, trace_and_residue
 from .semigroup import GapProfile, NumericalSemigroup, gap_profile, new_semigroup, pseudo_frobenius
 
 __all__ = [
@@ -128,50 +128,42 @@ def glue(spec: GluingSpec) -> NumericalSemigroup:
     return built
 
 
-def _dilate(ind: np.ndarray, k: int) -> np.ndarray:
-    """Indicator of k * S from the indicator of S (same origin, stretched)."""
-    out = np.zeros((len(ind) - 1) * k + 1 if len(ind) else 0, dtype=bool)
-    out[::k] = ind
-    return out
-
-
 def _predicted_glued_trace(
-    spec: GluingSpec, built: NumericalSemigroup, tl: RelativeIdeal, tr: RelativeIdeal
-) -> RelativeIdeal:
-    """The set {mu*a + lam*b : a in tl, b in tr} in canonical form, where tl
-    and tr are the traces of the left and right factors.
+    spec: GluingSpec, built: NumericalSemigroup, left_gens: tuple[int, ...], right_gens: tuple[int, ...]
+) -> np.ndarray:
+    """Class-minimum vector of {mu*a + lam*b : a in tl, b in tr}, where tl
+    and tr are the traces of the left and right factors with the given
+    minimal generators.
 
-    Everything from mu*c1 + lam*c2 + mu*lam on is a sum of tail elements
-    (coprimality of mu and lam covers the residues), so a finite convolution
-    suffices.
+    The set is mu*gens(tl) + lam*gens(tr) + S for the gluing S, so it takes
+    two sums over the gluing's Apery vector: first the ideal Y generated by
+    lam*gens(tr), then the union of mu*a + Y over a in gens(tl).
     """
-    bound = spec.mu * tl.conductor + spec.lam * tr.conductor + spec.mu * spec.lam
-    li = _dilate(tl.indicator(tl.min_element, tl.conductor + spec.lam + 1), spec.mu)
-    ri = _dilate(tr.indicator(tr.min_element, tr.conductor + spec.mu + 1), spec.lam)
-    conv = _bool_convolve(li, ri)
-    base = spec.mu * tl.min_element + spec.lam * tr.min_element
-    sums = (base + int(k) for k in np.nonzero(conv)[0] if base + int(k) < bound)
-    return _normalize(built, sums, bound)
+    y = _sum(spec.lam * np.array(right_gens), np.array(built.apery))
+    return _sum(spec.mu * np.array(left_gens), y)
 
 
-def glued_invariants(spec: GluingSpec) -> PredictedInvariants:
-    """Predict all invariants of the gluing from the factors alone."""
-    built = glue(spec)
+def _glued_invariants(spec: GluingSpec, built: NumericalSemigroup) -> PredictedInvariants:
+    """``glued_invariants`` for a gluing already built by ``glue(spec)``."""
     lam, mu = spec.lam, spec.mu
     f1, f2 = spec.left.frobenius, spec.right.frobenius
     pf = tuple(sorted({mu * g + lam * h + mu * lam for g in _pf_elements(spec.left) for h in _pf_elements(spec.right)}))
     rep1, rep2 = trace_and_residue(spec.left), trace_and_residue(spec.right)
-    gp1, gp2 = gap_profile(spec.left), gap_profile(spec.right)
-    trace_set = _predicted_glued_trace(spec, built, rep1.trace, rep2.trace)
+    trace = _predicted_glued_trace(spec, built, rep1.trace_min_gens, rep2.trace_min_gens)
     return PredictedInvariants(
         frobenius=mu * f1 + lam * f2 + mu * lam,
         pf=pf,
-        trace_min_gens=minimal_generators(trace_set),
+        trace_min_gens=tuple(_min_gens(trace, built.generators).tolist()),
         residue=mu * rep1.residue + lam * rep2.residue,
-        gap_bound=mu * (gp1.genus - gp1.non_gap_count) + lam * (gp2.genus - gp2.non_gap_count),
+        gap_bound=mu * rep1.gap_bound + lam * rep2.gap_bound,
         provenance="gluing",
-        trace_set=trace_set,
+        trace_set=_from_class_mins(built, trace),
     )
+
+
+def glued_invariants(spec: GluingSpec) -> PredictedInvariants:
+    """Predict all invariants of the gluing from the factors alone."""
+    return _glued_invariants(spec, glue(spec))
 
 
 def lift(s: NumericalSemigroup, k: int) -> NumericalSemigroup:
@@ -195,13 +187,12 @@ def lifted_invariants(s: NumericalSemigroup, k: int) -> PredictedInvariants:
         raise GcdViolation(f"gcd({k}, {s.multiplicity}) != 1")
     n1 = s.multiplicity
     report = trace_and_residue(s)
-    gp = gap_profile(s)
     return PredictedInvariants(
         frobenius=k * s.frobenius + (k - 1) * n1,
         pf=tuple(sorted(k * f + (k - 1) * n1 for f in _pf_elements(s))),
         trace_min_gens=tuple(sorted(k * g for g in report.trace_min_gens)),
         residue=k * report.residue,
-        gap_bound=k * (gp.genus - gp.non_gap_count),
+        gap_bound=k * report.gap_bound,
         provenance="lifting",
     )
 

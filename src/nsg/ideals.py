@@ -1,21 +1,31 @@
 """Relative ideals over a numerical semigroup and the canonical trace.
 
-A relative ideal is a bounded-below subset of the integers stable under
-adding semigroup elements.  It is stored as a finite head plus a conductor:
-everything from the conductor up belongs to the ideal.  With that shape,
-duals, Minkowski sums, and complements are linear scans over boolean
-indicator arrays.
+A relative ideal I over S is a bounded-below set of integers with I + S
+contained in I.  The multiplicity m is a member of S, so I meets each residue
+class c mod m in the progression x[c], x[c] + m, x[c] + 2m, ...: the ideal is
+determined by its class-minimum vector x, an int64 array of length m (the
+Apery set of S is the class-minimum vector of S itself).  Every operation
+here works on such vectors, at O(generators * m) cost whatever F is:
+
+- canonical ideal: k[c] = F + m - Ap[(F - c) mod m];
+- minimal generators: the x[c] with x[c] - g < x[(c - g) mod m] for every
+  generator g != m;
+- dual S - I: d[c] = max over generators a of I of Ap[(c + a) mod m] - a;
+- Minkowski sum I + J: s[c] = min over generators a of I of
+  a + J[(c - a) mod m].
+
+The public form ``RelativeIdeal`` (a finite head plus a conductor from which
+everything belongs to the ideal) is read and built only at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import AmbientMismatch, TrivialSemigroup
-from .semigroup import NumericalSemigroup, gap_profile
+from .semigroup import NumericalSemigroup
 
 __all__ = [
     "RelativeIdeal",
@@ -29,22 +39,11 @@ __all__ = [
     "gap_bound_check",
 ]
 
-_DIRECT_CONV_LIMIT = 1 << 16
-
-
-def _bool_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Indicator of the Minkowski sum of two indicator arrays."""
-    n = len(a) + len(b) - 1
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(max(n, 0), dtype=bool)
-    if len(a) * len(b) <= _DIRECT_CONV_LIMIT:
-        return np.convolve(a.astype(np.int64), b.astype(np.int64)) > 0
-    size = 1 << (n - 1).bit_length()
-    fa = np.fft.rfft(a.astype(np.float64), size)
-    fb = np.fft.rfft(b.astype(np.float64), size)
-    conv = np.fft.irfft(fa * fb, size)[:n]
-    # counts are integers well below 2**52, so 0.5 separates 0 from >= 1
-    return conv > 0.5
+# Largest temporary, in array elements, of one (generators x m) gather:
+# generators are folded in blocks of at most _BLOCK // m rows, so a
+# maximal-embedding-dimension semigroup (about m generators) needs no
+# m * m temporary.
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -111,14 +110,68 @@ class RelativeIdeal:
         return f"RelativeIdeal(head={list(self.head)}, tail>={self.conductor})"
 
 
-def _normalize(ambient: NumericalSemigroup, elements: Iterable[int], tail_start: int) -> RelativeIdeal:
-    """Build canonical form from elements below ``tail_start`` plus the tail."""
-    elems = {int(e) for e in elements if e < tail_start}
-    conductor = tail_start
-    while conductor - 1 in elems:
-        conductor -= 1
-        elems.discard(conductor)
-    return RelativeIdeal(ambient, tuple(sorted(elems)), conductor)
+def _class_mins(ideal: RelativeIdeal, m: int) -> np.ndarray:
+    """Least element of the ideal in each residue class mod m: the tail
+    [conductor, conductor + m) lowered by the head."""
+    x = ideal.conductor + (np.arange(m) - ideal.conductor) % m
+    head = np.array(ideal.head, dtype=np.int64)
+    np.minimum.at(x, head % m, head)
+    return x
+
+
+def _from_class_mins(ambient: NumericalSemigroup, x: np.ndarray) -> RelativeIdeal:
+    """Head/conductor form of the ideal with class-minimum vector x; the
+    largest non-element is max(x) - m."""
+    m = len(x)
+    conductor = int(x.max()) - m + 1
+    v = np.arange(int(x.min()), conductor)
+    return RelativeIdeal(ambient, tuple(v[v >= x[v % m]].tolist()), conductor)
+
+
+def _fold(vec: np.ndarray, shifts: np.ndarray, offsets: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+    """reduce over i of vec[(c + shifts[i]) mod m] + offsets[i], for each c.
+
+    One gather of whole rotations per block of generators: row r of the
+    (m x m) view below is doubled[r : r + m], vec rotated left by r.
+    """
+    m = len(vec)
+    doubled = np.concatenate((vec, vec))
+    rotations = np.ndarray((m, m), doubled.dtype, doubled, strides=doubled.strides * 2)
+    rows = max(1, _BLOCK // m)
+    out = None
+    for i in range(0, len(shifts), rows):
+        block = rotations[shifts[i : i + rows] % m]
+        block += offsets[i : i + rows, None]
+        part = reduce.reduce(block, axis=0)
+        out = part if out is None else reduce(out, part, out=out)
+    return out
+
+
+def _min_gens(x: np.ndarray, generators: tuple[int, ...]) -> np.ndarray:
+    """Sorted minimal generators of the ideal with class-minimum vector x
+    over the semigroup with these generators (the first is m): x[c] stays
+    iff x[c] - g misses the ideal for every other generator g."""
+    gens = np.array(generators[1:], dtype=np.int64)
+    if len(gens):
+        x = x[x < _fold(x, -gens, gens, np.minimum)]
+    return np.sort(x)
+
+
+def _dual(apery: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """S - I from generators of I: z + a must reach the Apery element of its
+    class for every generator a."""
+    return _fold(apery, gens, -gens, np.maximum)
+
+
+def _sum(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """I + J from generators of I and the class-minimum vector x of J."""
+    return _fold(x, -gens, gens, np.minimum)
+
+
+def _canonical(s: NumericalSemigroup, apery: np.ndarray) -> np.ndarray:
+    """z is in K iff F - z is a gap, iff z > F - Ap[(F - z) mod m]."""
+    m, f = s.multiplicity, s.frobenius
+    return f + m - apery[(f - np.arange(m)) % m]
 
 
 @dataclass(frozen=True)
@@ -146,112 +199,84 @@ class GapBoundCheck:
 def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """The canonical ideal normalized to start at 0: all z with F - z a gap.
 
-    Its minimal generators over the semigroup are F - x for the
-    pseudo-Frobenius numbers x.
+    Its class minima are k[c] = F + m - Ap[(F - c) mod m], and its minimal
+    generators over the semigroup are F - x for the pseudo-Frobenius
+    numbers x.
     """
     if s.is_naturals:
         raise TrivialSemigroup("the naturals are their own canonical ideal; no gaps to reflect")
-    f = s.frobenius
-    window = s.member_mask(f + 1)
-    mask = ~window[::-1]
-    return _normalize(s, (int(z) for z in np.nonzero(mask)[0]), f + 1)
+    return _from_class_mins(s, _canonical(s, np.array(s.apery)))
 
 
 def dual_ideal(s: NumericalSemigroup, ideal: RelativeIdeal) -> RelativeIdeal:
     """All z whose translate z + ideal lands inside the semigroup.
 
-    z fails exactly when some gap is z + (ideal element); the candidate
-    range [-m, F - m] is scanned via one boolean convolution and the tail
-    [F + 1 - m, infinity) is included wholesale.
+    Only the least element of the ideal in each class mod m matters, and of
+    those only the minimal generators a: d[c] is the largest value of
+    Ap[(c + a) mod m] - a over them, O(generators * m).
     """
-    f = s.frobenius
-    m = ideal.min_element
-    if f < 0:
-        return _normalize(s, (), -m)
-    gaps_ind = ~s.member_mask(f + 1)
-    ideal_ind = ideal.indicator(m, m + f + 1)
-    bad = _bool_convolve(gaps_ind, ideal_ind[::-1])
-    # bad index k corresponds to z = k - (m + f)
-    mask = ~bad[f : 2 * f + 1]
-    elements = (int(i) - m for i in np.nonzero(mask)[0])
-    return _normalize(s, elements, f + 1 - m)
+    gens = _min_gens(_class_mins(ideal, s.multiplicity), s.generators)
+    return _from_class_mins(s, _dual(np.array(s.apery), gens))
 
 
 def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
-    """Minkowski sum of two relative ideals over the same semigroup."""
+    """Minkowski sum of two relative ideals over the same semigroup.
+
+    It is the union of a + right over the minimal generators a of left, so
+    its class minima are the least a + right[(c - a) mod m] over them.
+    """
     if left.ambient.generators != right.ambient.generators:
         raise AmbientMismatch(
             f"cannot add ideals over {left.ambient.generators} and {right.ambient.generators}"
         )
-    ml, mr = left.min_element, right.min_element
-    bound = left.conductor + right.conductor
-    li = left.indicator(ml, bound - mr)
-    ri = right.indicator(mr, bound - ml)
-    conv = _bool_convolve(li, ri)
-    base = ml + mr
-    sums = (base + int(k) for k in np.nonzero(conv)[0] if base + int(k) < bound)
-    return _normalize(left.ambient, sums, bound)
+    s = left.ambient
+    m = s.multiplicity
+    gens = _min_gens(_class_mins(left, m), s.generators)
+    return _from_class_mins(s, _sum(gens, _class_mins(right, m)))
 
 
 def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
     """Elements not reachable from the ideal by adding a nonzero member.
 
-    It suffices to subtract single generators: reaching x from x - s for a
+    Only class minima qualify (x - m is in the ideal otherwise), and it
+    suffices to subtract single generators: reaching x from x - s for a
     composite member s implies reaching it from x - g for a generator g by
-    stability.  Candidates live below conductor + multiplicity.
+    stability.
     """
     s = ideal.ambient
-    lo = ideal.min_element
-    hi = ideal.conductor + s.multiplicity
-    keep = ideal.indicator(lo, hi)
-    for g in s.generators:
-        keep &= ~ideal.indicator(lo - g, hi - g)
-    return tuple(int(lo + i) for i in np.nonzero(keep)[0])
-
-
-def _is_symmetric(s: NumericalSemigroup) -> bool:
-    f = s.frobenius
-    if f < 0:
-        return True
-    window = s.member_mask(f + 1)
-    return bool(np.all(window == ~window[::-1]))
+    return tuple(_min_gens(_class_mins(ideal, s.multiplicity), s.generators).tolist())
 
 
 def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
     """Canonical trace ideal, residue, and nearly-Gorenstein classification.
 
-    The Gorenstein flag comes from the independent symmetry test and is
-    cross-checked against residue zero; disagreement means a bug, not data.
+    The trace is K + (S - K), all on class-minimum vectors.  The residue
+    counts the members below the trace's class minima; genus comes from
+    Selmer's formula (the sum of Ap[c] // m), and the Gorenstein flag from
+    the independent symmetry count 2 * genus == F + 1, which is
+    cross-checked against residue zero: disagreement means a bug, not data.
     """
-    if s.is_naturals:
-        trace = RelativeIdeal(s, (), 0)
-        return TraceReport(
-            trace=trace,
-            trace_min_gens=(0,),
-            residue=0,
-            missing=(),
-            gorenstein=True,
-            nearly_gorenstein=True,
-            gap_bound=0,
-            question_holds=True,
-        )
-    kan = canonical_ideal(s)
-    trace = ideal_sum(kan, dual_ideal(s, kan))
-    missing_mask = s.member_mask(trace.conductor) & ~trace.indicator(0, trace.conductor)
-    missing = tuple(int(x) for x in np.nonzero(missing_mask)[0])
-    residue = len(missing)
-    gorenstein = _is_symmetric(s)
+    m, f = s.multiplicity, s.frobenius
+    apery = np.array(s.apery)
+    kan_gens = _min_gens(_canonical(s, apery), s.generators)
+    trace = _sum(kan_gens, _dual(apery, kan_gens))
+    counts = (trace - apery) // m
+    residue = int(counts.sum())
+    # class c misses apery[c], apery[c] + m, ..., trace[c] - m
+    steps = np.arange(residue) - np.repeat(np.cumsum(counts) - counts, counts)
+    missing = np.sort(np.repeat(apery, counts) + m * steps)
+    genus = int((apery // m).sum())
+    gorenstein = 2 * genus == f + 1
     if gorenstein != (residue == 0):
         raise AssertionError(
             f"symmetry test and residue disagree on {s}: symmetric={gorenstein}, residue={residue}"
         )
-    profile = gap_profile(s)
-    bound = profile.genus - profile.non_gap_count
+    bound = 2 * genus - f - 1  # genus minus the f + 1 - genus members below F
     return TraceReport(
-        trace=trace,
-        trace_min_gens=minimal_generators(trace),
+        trace=_from_class_mins(s, trace),
+        trace_min_gens=tuple(_min_gens(trace, s.generators).tolist()),
         residue=residue,
-        missing=missing,
+        missing=tuple(missing.tolist()),
         gorenstein=gorenstein,
         nearly_gorenstein=residue <= 1,
         gap_bound=bound,

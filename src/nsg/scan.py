@@ -19,16 +19,17 @@ from typing import Callable, Iterable, Sequence
 
 from .constructions import (
     GluingSpec,
+    PredictedInvariants,
     VerificationOutcome,
+    _glued_invariants,
     arithmetic_semigroup,
     glue,
-    glued_invariants,
     lift,
     lifted_invariants,
     verify_construction,
 )
 from .errors import GluingError, InvalidSetting
-from .ideals import gap_bound_check, trace_and_residue  # noqa: F401 (re-exported)
+from .ideals import TraceReport, gap_bound_check, trace_and_residue  # noqa: F401 (re-exported)
 from .semigroup import NumericalSemigroup, gap_profile, new_semigroup, pseudo_frobenius
 from .toric import ClosureVerdict, acm_and_hypothesis
 
@@ -104,8 +105,12 @@ class ScanSummary:
 
 def info_payload(s: NumericalSemigroup, toric: bool = False, slack: bool = False) -> dict:
     """All invariants of one semigroup, JSON-ready (integers only)."""
+    return _invariants(s, trace_and_residue(s), toric=toric, slack=slack)
+
+
+def _invariants(s: NumericalSemigroup, report: TraceReport, toric: bool = False, slack: bool = False) -> dict:
+    """``info_payload`` with the trace report already computed."""
     profile = gap_profile(s)
-    report = trace_and_residue(s)
     if s.is_naturals:
         pf_elements: tuple[int, ...] = ()
     else:
@@ -159,15 +164,33 @@ def build_record(
     toric: bool = False,
     slack: bool = False,
 ) -> ScanRecord:
+    return _record(s, provenance, seed, info_payload(s, toric=toric, slack=slack), verification)
+
+
+def _record(
+    s: NumericalSemigroup, provenance: dict, seed: int, invariants: dict, verification: dict | None = None
+) -> ScanRecord:
     return ScanRecord(
         id=record_id(s.generators),
         generators=s.generators,
         provenance=provenance,
-        invariants_json=info_payload(s, toric=toric, slack=slack),
+        invariants_json=invariants,
         verification=verification,
         timestamp=_timestamp(),
         seed=seed,
     )
+
+
+def _construction_record(
+    built: NumericalSemigroup, provenance: dict, seed: int, predicted: PredictedInvariants | None
+) -> dict:
+    """JSON record of a gluing or lifting, verified against ``predicted``
+    when one is given; the trace computed to verify it is the record's too."""
+    if predicted is None:
+        return build_record(built, provenance, seed).to_json()
+    outcome = verify_construction(predicted, built)
+    invariants = _invariants(built, outcome.computed.trace)
+    return _record(built, provenance, seed, invariants, _verification_payload(outcome)).to_json()
 
 
 def random_semigroup(rng: random.Random, max_multiplicity: int, min_multiplicity: int = 3) -> NumericalSemigroup:
@@ -256,27 +279,21 @@ def _gluing_worker(args: tuple) -> dict:
     left_gens, right_gens, lam, mu, verify, seed = args
     spec = GluingSpec(new_semigroup(left_gens), new_semigroup(right_gens), lam, mu)
     built = glue(spec)
-    verification = None
-    if verify:
-        verification = _verification_payload(verify_construction(glued_invariants(spec), built))
     provenance = {
         "kind": "gluing",
         "parents": [record_id(left_gens), record_id(right_gens)],
         "lambda": lam,
         "mu": mu,
     }
-    return build_record(built, provenance, seed, verification=verification).to_json()
+    return _construction_record(built, provenance, seed, _glued_invariants(spec, built) if verify else None)
 
 
 def _lifting_worker(args: tuple) -> dict:
     base_gens, k, verify, seed = args
     base = new_semigroup(base_gens)
     built = lift(base, k)
-    verification = None
-    if verify:
-        verification = _verification_payload(verify_construction(lifted_invariants(base, k), built))
     provenance = {"kind": "lifting", "parent": record_id(base_gens), "k": k}
-    return build_record(built, provenance, seed, verification=verification).to_json()
+    return _construction_record(built, provenance, seed, lifted_invariants(base, k) if verify else None)
 
 
 def scan_family(

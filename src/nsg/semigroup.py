@@ -6,7 +6,7 @@ Apery set w.r.t. the multiplicity m (the least member of every residue class
 mod m), built from the generators in O(generators * m) integer steps.  The
 Frobenius number, membership, minimality and the pseudo-Frobenius numbers
 all follow from it; boolean membership arrays are materialized on demand,
-one byte per position, for the ideal layer.
+one byte per position, for gap lists.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import EmptyInput, GcdNotOne, InputTooLarge, TrivialSemigroup
 
-# Largest multiplicity and Frobenius number accepted: the Apery table grows
-# with m, and membership arrays, gap lists and ideal convolutions with F.
+# Largest multiplicity and Frobenius number accepted: the Apery table and the
+# ideal layer's class-minimum vectors grow with m, membership arrays, gap
+# lists and ideal heads with F.
 SIZE_LIMIT = 10**7
 
 __all__ = [

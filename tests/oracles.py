@@ -80,6 +80,41 @@ def brute_minimal_ideal_generators(elements: set[int], members: set[int], bound:
     return out
 
 
+def brute_symmetric(generators: Sequence[int], frobenius: int) -> bool:
+    """Mask-reversal symmetry: x is a member iff F - x is not, over [0, F]."""
+    table = dp_membership(generators, max(frobenius, 0))
+    return all(table[x] != table[frobenius - x] for x in range(frobenius + 1))
+
+
+def brute_ideal(generators: Sequence[int], ideal_gens: Sequence[int], hi: int) -> set[int]:
+    """Elements below hi of the relative ideal generated by ideal_gens: the
+    integers a + s for a in ideal_gens and s a member."""
+    lo = min(ideal_gens)
+    table = dp_membership(generators, max(hi - lo, 0))
+    return {z for z in range(lo, hi) if any(z >= a and table[z - a] for a in ideal_gens)}
+
+
+def brute_dual(generators: Sequence[int], frobenius: int, ideal_gens: Sequence[int], lo: int, hi: int) -> set[int]:
+    """z in [lo, hi) with z + x a member for every element x of the ideal
+    generated by ideal_gens.  For z >= lo, an x above frobenius - lo
+    cannot fail, so the ideal is listed only that far."""
+    ideal = brute_ideal(generators, ideal_gens, frobenius - lo + 1)
+    table = dp_membership(generators, max(frobenius, 0))
+
+    def member(y: int) -> bool:
+        return y > frobenius or (y >= 0 and table[y])
+
+    return {z for z in range(lo, hi) if all(member(z + x) for x in ideal)}
+
+
+def brute_sum(generators: Sequence[int], left_gens: Sequence[int], right_gens: Sequence[int], hi: int) -> set[int]:
+    """Elements below hi of {x + y : x, y in the ideals generated by
+    left_gens and right_gens}, over every pair of listed elements."""
+    left = brute_ideal(generators, left_gens, hi - min(right_gens))
+    right = brute_ideal(generators, right_gens, hi - min(left_gens))
+    return {x + y for x in left for y in right if x + y < hi}
+
+
 def gap_sets_by_genus(genus: int) -> list[frozenset[int]]:
     """Every gap set of the given genus, by brute force over subsets of
     [1, 2*genus - 1] (the largest gap never exceeds that)."""

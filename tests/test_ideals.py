@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsg.errors import AmbientMismatch, TrivialSemigroup
 from nsg.ideals import (
@@ -11,9 +14,17 @@ from nsg.ideals import (
     minimal_generators,
     trace_and_residue,
 )
-from nsg.semigroup import new_semigroup, pseudo_frobenius
+from nsg.semigroup import gap_profile, new_semigroup, pseudo_frobenius
 
-from oracles import brute_members, brute_minimal_ideal_generators, brute_trace
+from oracles import (
+    brute_dual,
+    brute_ideal,
+    brute_members,
+    brute_minimal_ideal_generators,
+    brute_sum,
+    brute_symmetric,
+    brute_trace,
+)
 from strategies import semigroups
 
 
@@ -259,3 +270,77 @@ def test_minimal_generators_match_direct_definition(gens):
     elements = set(t.elements_below(bound + 3 * s.generators[-1]))
     members = brute_members(s.generators, bound + 3 * s.generators[-1])
     assert list(trace_and_residue(s).trace_min_gens) == brute_minimal_ideal_generators(elements, members, bound)
+
+def ideal_from_gens(s, gens):
+    """The relative ideal generated by gens, in canonical form, read off the
+    oracle's element list (everything from max(gens) + F + 1 on is inside)."""
+    tail = max(gens) + s.frobenius + 1
+    elems = brute_ideal(s.generators, gens, tail)
+    conductor = tail
+    while conductor - 1 in elems:
+        conductor -= 1
+    return RelativeIdeal(s, tuple(sorted(e for e in elems if e < conductor)), conductor)
+
+
+@st.composite
+def semigroup_and_ideal_gens(draw):
+    s = draw(semigroups(max_multiplicity=10))
+    span = s.frobenius + s.multiplicity + 1
+    gens = st.lists(st.integers(-span, span), min_size=1, max_size=3)
+    return s, draw(gens), draw(gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(semigroup_and_ideal_gens())
+def test_ideal_operations_match_set_oracles(case):
+    s, left_gens, right_gens = case
+    f, m = s.frobenius, s.multiplicity
+    left, right = ideal_from_gens(s, left_gens), ideal_from_gens(s, right_gens)
+
+    # z + min(left) must be a member, and z >= F + 1 - min(left) always works
+    lo, hi = -min(left_gens) - m, f + 1 - min(left_gens) + m
+    dual = dual_ideal(s, left)
+    assert {z for z in range(lo, hi) if dual.contains(z)} == brute_dual(s.generators, f, left_gens, lo, hi)
+    assert dual.min_element >= lo and dual.conductor <= hi
+
+    lo, hi = min(left_gens) + min(right_gens) - m, left.conductor + right.conductor + m
+    total = ideal_sum(left, right)
+    assert {x for x in range(lo, hi) if total.contains(x)} == brute_sum(s.generators, left_gens, right_gens, hi)
+    assert total.min_element >= lo and total.conductor <= hi
+
+    bound = left.conductor + m
+    elements = brute_ideal(s.generators, left_gens, bound + 1)
+    members = brute_members(s.generators, bound - min(elements))
+    gens = minimal_generators(left)
+    assert list(gens) == brute_minimal_ideal_generators(elements, members, bound)
+    assert set(gens) <= set(left_gens)
+
+
+@settings(max_examples=50, deadline=None)
+@given(semigroups(max_multiplicity=15, max_extra=5))
+def test_gap_bound_and_gorenstein_match_independent_counts(s):
+    r = trace_and_residue(s)
+    p = gap_profile(s)
+    assert r.gap_bound == p.genus - p.non_gap_count
+    assert r.gorenstein == brute_symmetric(s.generators, s.frobenius)
+
+
+def test_large_frobenius_trace_pinned():
+    # F = 3,025,335; values recorded with the earlier indicator-array layer
+    r = trace_and_residue(new_semigroup([5003, 7001, 9001, 9007]))
+    assert (r.residue, r.gap_bound, r.trace.conductor, len(r.trace_min_gens)) == (64, 2744, 3025336, 10)
+    assert not r.nearly_gorenstein
+
+
+def test_maximal_embedding_dimension_trace_memory():
+    # 2,000 generators and type 1,999: one unblocked (generators x m) gather
+    # takes 32 MB, while blocks of 2**20 int64 elements peak near 16 MiB
+    s = new_semigroup(range(2000, 4000))
+    tracemalloc.start()
+    try:
+        r = trace_and_residue(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.residue == 1
+    assert peak < 24 * 2**20
