@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbientMismatch, TrivialSemigroup
-from .semigroup import NumericalSemigroup
+from .semigroup import _BLOCK, NumericalSemigroup
 
 __all__ = [
     "RelativeIdeal",
@@ -38,13 +38,6 @@ __all__ = [
     "trace_and_residue",
     "gap_bound_check",
 ]
-
-# Largest temporary, in array elements, of one (generators x m) gather:
-# generators are folded in blocks of at most _BLOCK // m rows, so a
-# maximal-embedding-dimension semigroup (about m generators) needs no
-# m * m temporary.
-_BLOCK = 1 << 20
-
 
 @dataclass(frozen=True)
 class RelativeIdeal:

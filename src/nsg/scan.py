@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -333,8 +334,16 @@ def scan_family(
         records = _pmap(_lifting_worker, items)
     else:
         raise ValueError(f"unknown family {family!r}")
-    records.sort(key=lambda r: (r["id"], canonical_json(r)))
+    _sort_records(records)
     return records
+
+
+def _sort_records(records: list[dict]) -> None:
+    """Sort in place by id, then by canonical JSON; only records whose id
+    occurs more than once (a random scan can draw one semigroup twice) are
+    encoded for the tie-break."""
+    counts = Counter(r["id"] for r in records)
+    records.sort(key=lambda r: (r["id"], canonical_json(r) if counts[r["id"]] > 1 else ""))
 
 
 def summarize(records: Iterable[dict]) -> ScanSummary:
@@ -369,8 +378,8 @@ def hunt(max_genus: int, seed: int = 0) -> tuple[list[dict], list[dict], dict[in
             records.append(rec)
             if not inv["question_holds"]:
                 findings.append(rec)
-    records.sort(key=lambda r: (r["id"], canonical_json(r)))
-    findings.sort(key=lambda r: (r["id"], canonical_json(r)))
+    _sort_records(records)
+    _sort_records(findings)
     return records, findings, dict(sorted(histogram.items()))
 
 

@@ -24,6 +24,12 @@ from .errors import EmptyInput, GcdNotOne, InputTooLarge, TrivialSemigroup
 # lists and ideal heads with F.
 SIZE_LIMIT = 10**7
 
+# Largest temporary, in array elements, of one (m x generators) numpy step
+# here and in the ideal layer: generators are processed in blocks of at most
+# _BLOCK // m, so a maximal-embedding-dimension semigroup (about m
+# generators) needs no m * m temporary.
+_BLOCK = 1 << 20
+
 __all__ = [
     "NumericalSemigroup",
     "GapProfile",
@@ -195,7 +201,11 @@ def pseudo_frobenius(s: NumericalSemigroup) -> PseudoFrobeniusSet:
         raise TrivialSemigroup("the naturals have no gaps, hence no pseudo-Frobenius numbers")
     m = s.multiplicity
     apery = np.array(s.apery)
-    sums = apery[:, None] + np.array(s.generators[1:])
-    maximal = apery[~np.any(apery[sums % m] == sums, axis=1)]
-    elements = tuple(int(w) - m for w in np.sort(maximal))
+    gens = s.generators[1:]
+    cols = max(1, _BLOCK // m)
+    below = np.zeros(m, dtype=bool)  # w + g is an Apery element for some g != m
+    for i in range(0, len(gens), cols):
+        sums = apery[:, None] + np.array(gens[i : i + cols])
+        below |= (apery[sums % m] == sums).any(axis=1)
+    elements = tuple((np.sort(apery[~below]) - m).tolist())
     return PseudoFrobeniusSet(elements=elements, type=len(elements))

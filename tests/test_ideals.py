@@ -344,3 +344,18 @@ def test_maximal_embedding_dimension_trace_memory():
         tracemalloc.stop()
     assert r.residue == 1
     assert peak < 24 * 2**20
+
+
+def test_maximal_embedding_dimension_pseudo_frobenius_memory():
+    # 1,999 generators other than m: each unblocked (m x generators) int64
+    # temporary takes 32 MB and three are live at once, while blocks of
+    # 2**20 elements peak near 24 MiB
+    s = new_semigroup(range(2000, 4000))
+    tracemalloc.start()
+    try:
+        pf = pseudo_frobenius(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pf.elements == tuple(range(1, 2000))
+    assert peak < 32 * 2**20

@@ -5,12 +5,14 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsg.constructions import arithmetic_semigroup
 from nsg.errors import EmbeddingDimensionTooSmall
 from nsg.semigroup import new_semigroup
 from nsg.toric import (
     Binomial,
+    _graph_ideal,
     acm_and_hypothesis,
     arithmetic_gb,
     buchberger,
@@ -273,21 +275,66 @@ def test_groebner_bases_pass_spair_criterion():
         assert is_groebner(reduced_gb(new_semigroup(gens)))
 
 
-def test_small_arithmetic_grid_bases_pinned():
-    # reduced bases are unique, so no pair-pruning rule may move this digest
-    # of the 73 n1 <= 8 grid bases, recorded with an unpruned Buchberger loop
+@pytest.mark.parametrize(
+    "n1_range, count, digest",
+    [
+        # recorded with an unpruned Buchberger loop
+        (range(3, 9), 73, "036cc58b97083eeb8ee1afef90993603cec286a3c07182dd70b68f657e42afa8"),
+        # the rest of criterion 8's grid, recorded with standard-degree pair selection
+        (range(9, 13), 109, "daca4c79c2deed4267f337e2483a59af74e7048b4243a2abe4e098611ee123cb"),
+    ],
+    ids=["n1_3_8", "n1_9_12"],
+)
+def test_small_arithmetic_grid_bases_pinned(n1_range, count, digest):
+    # reduced bases are unique, so no pair-pruning or pair-selection rule
+    # may move these digests of the d <= 5 grid bases
     bases = [
         reduced_gb(arithmetic_semigroup(n1, d, e)).to_json()
-        for n1 in range(3, 9)
+        for n1 in n1_range
         for d in range(1, 6)
         if math.gcd(n1, d) == 1
         for e in range(3, n1 + 1)
     ]
-    assert len(bases) == 73
+    assert len(bases) == count
     text = json.dumps(bases, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "036cc58b97083eeb8ee1afef90993603cec286a3c07182dd70b68f657e42afa8"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=30, deadline=None)
+@given(semigroups(max_multiplicity=8, max_extra=3))
+def test_grading_keeps_graph_ideal_basis(s):
+    gens = _graph_ideal(s.generators)
+    order = elimination_order(("t",) + tuple(f"x{i}" for i in range(len(s.generators))), block_split=1)
+    graded = buchberger(gens, order, grading=(1,) + s.generators)
+    assert graded.elements == buchberger(gens, order).elements
+
+
+@st.composite
+def binomial_sets(draw):
+    n = draw(st.integers(2, 4))
+    monomials = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(st.builds(Binomial, monomials, monomials), min_size=1, max_size=4))
+    names = [f"y{i}" for i in range(n)]
+    order = draw(st.sampled_from([degrevlex(names), elimination_order(names, 1)]))
+    weights = draw(st.tuples(*[st.integers(1, 7)] * n))
+    return gens, order, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(binomial_sets())
+def test_grading_keeps_basis_of_any_binomials(case):
+    # the input need not be homogeneous for the weights: only the order of
+    # work may change, never the reduced basis
+    gens, order, weights = case
+    assert buchberger(gens, order, grading=weights).elements == buchberger(gens, order).elements
+
+
+def test_grading_needs_positive_weight_per_variable():
+    order = degrevlex(["x1", "x2"])
+    gens = [Binomial((3, 0), (0, 2))]
+    for bad in ((1,), (1, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            buchberger(gens, order, grading=bad)
 
 
 @settings(max_examples=40, deadline=None)
