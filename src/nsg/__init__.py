@@ -38,13 +38,11 @@ from .semigroup import (
 )
 from .toric import (
     AcmHypothesisReport,
-    ArithmeticGbReport,
     Binomial,
     ClosureVerdict,
     GroebnerBasis,
     MonomialOrder,
     acm_and_hypothesis,
-    arithmetic_gb,
     buchberger,
     defining_ideal,
     degrevlex,
@@ -84,7 +82,6 @@ __all__ = [
     "GroebnerBasis",
     "ClosureVerdict",
     "AcmHypothesisReport",
-    "ArithmeticGbReport",
     "degrevlex",
     "elimination_order",
     "buchberger",
@@ -93,5 +90,4 @@ __all__ = [
     "homogenized_gb",
     "acm_and_hypothesis",
     "projective_ng_verdict",
-    "arithmetic_gb",
 ]

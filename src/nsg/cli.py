@@ -14,16 +14,7 @@ import click
 from .constructions import GluingSpec, _glued_invariants, glue, lift, lifted_invariants, verify_construction
 from .errors import InvalidSetting, NsgError
 from .ideals import trace_and_residue
-from .scan import (
-    _invariants,
-    build_record,
-    canonical_json,
-    hunt as run_hunt,
-    info_payload,
-    scan_family,
-    summarize,
-    write_jsonl,
-)
+from .scan import DEFAULT_LIMIT, canonical_json, hunt as run_hunt, info_payload, scan_family, summarize, write_jsonl
 from .semigroup import NumericalSemigroup, new_semigroup
 from .toric import ClosureVerdict, acm_and_hypothesis
 
@@ -86,7 +77,7 @@ def _report_verification(predicted, built, as_json: bool) -> None:
                     "generators": list(built.generators),
                     "verified": outcome.verified,
                     "discrepancies": list(outcome.discrepancies),
-                    "invariants_json": _invariants(built, outcome.computed.trace),
+                    "invariants_json": info_payload(built, report=outcome.computed.trace),
                 }
             )
         )
@@ -174,11 +165,17 @@ def toric(generators: str, as_json: bool) -> None:
 @main.command()
 @click.argument("family", type=click.Choice(["random", "arithmetic", "gluing", "lifting"]))
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--limit", type=int, default=100, show_default=True, help="Instance count (0 for an empty scan).")
+@click.option(
+    "--limit",
+    type=int,
+    default=None,
+    show_default=f"the whole grid for arithmetic, {DEFAULT_LIMIT} otherwise",
+    help="Instance count (0 for an empty scan).",
+)
 @click.option("--max-multiplicity", type=click.IntRange(min=3), default=8, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="JSONL file to append to.")
 @click.option("--verify", is_flag=True, help="Verify construction predictions (gluing and lifting).")
-def scan(family: str, seed: int, limit: int, max_multiplicity: int, out: str, verify: bool) -> None:
+def scan(family: str, seed: int, limit: int | None, max_multiplicity: int, out: str, verify: bool) -> None:
     """Scan a family of semigroups and append one JSONL record each."""
     try:
         records = scan_family(family, seed=seed, limit=limit, max_multiplicity=max_multiplicity, verify=verify)

@@ -76,7 +76,6 @@ class PredictedInvariants:
 class ComputedInvariants:
     trace: TraceReport
     gaps: GapProfile
-    pf: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -166,12 +165,16 @@ def glued_invariants(spec: GluingSpec) -> PredictedInvariants:
     return _glued_invariants(spec, glue(spec))
 
 
-def lift(s: NumericalSemigroup, k: int) -> NumericalSemigroup:
-    """Scale every generator except the multiplicity by k."""
+def _check_lift(s: NumericalSemigroup, k: int) -> None:
     if k < 1:
         raise ValueError(f"lift factor must be >= 1, got {k}")
     if math.gcd(k, s.multiplicity) != 1:
         raise GcdViolation(f"gcd({k}, {s.multiplicity}) != 1")
+
+
+def lift(s: NumericalSemigroup, k: int) -> NumericalSemigroup:
+    """Scale every generator except the multiplicity by k."""
+    _check_lift(s, k)
     lifted = [s.multiplicity] + [k * g for g in s.generators[1:]]
     built = new_semigroup(lifted)
     if built.was_reduced:
@@ -181,10 +184,7 @@ def lift(s: NumericalSemigroup, k: int) -> NumericalSemigroup:
 
 def lifted_invariants(s: NumericalSemigroup, k: int) -> PredictedInvariants:
     """Predict the lift's invariants; the trace scales at generator level."""
-    if k < 1:
-        raise ValueError(f"lift factor must be >= 1, got {k}")
-    if math.gcd(k, s.multiplicity) != 1:
-        raise GcdViolation(f"gcd({k}, {s.multiplicity}) != 1")
+    _check_lift(s, k)
     n1 = s.multiplicity
     report = trace_and_residue(s)
     return PredictedInvariants(
@@ -201,11 +201,10 @@ def verify_construction(predicted: PredictedInvariants, built: NumericalSemigrou
     """Recompute every predicted invariant directly and diff the two sides."""
     report = trace_and_residue(built)
     gp = gap_profile(built)
-    pf_direct = _pf_elements(built)
     discrepancies = []
     if predicted.frobenius != built.frobenius:
         discrepancies.append("frobenius")
-    if predicted.pf != pf_direct:
+    if predicted.pf != _pf_elements(built):
         discrepancies.append("pf")
     if predicted.residue != report.residue:
         discrepancies.append("residue")
@@ -217,7 +216,7 @@ def verify_construction(predicted: PredictedInvariants, built: NumericalSemigrou
         discrepancies.append("trace_min_gens")
     return VerificationOutcome(
         predicted=predicted,
-        computed=ComputedInvariants(trace=report, gaps=gp, pf=pf_direct),
+        computed=ComputedInvariants(trace=report, gaps=gp),
         verified=not discrepancies,
         discrepancies=tuple(discrepancies),
     )

@@ -52,41 +52,8 @@ class RelativeIdeal:
     head: tuple[int, ...]
     conductor: int
 
-    @property
-    def min_element(self) -> int:
-        return self.head[0] if self.head else self.conductor
-
     def contains(self, x: int) -> bool:
         return x >= self.conductor or x in self.head
-
-    def indicator(self, lo: int, hi: int) -> np.ndarray:
-        """Boolean membership array over [lo, hi)."""
-        n = hi - lo
-        if n <= 0:
-            return np.zeros(0, dtype=bool)
-        ind = np.zeros(n, dtype=bool)
-        if self.conductor < hi:
-            ind[max(self.conductor, lo) - lo :] = True
-        if self.head:
-            arr = np.asarray(self.head)
-            sel = arr[(arr >= lo) & (arr < hi)]
-            ind[sel - lo] = True
-        return ind
-
-    def shift(self, a: int) -> "RelativeIdeal":
-        return RelativeIdeal(self.ambient, tuple(h + a for h in self.head), self.conductor + a)
-
-    def elements_below(self, bound: int) -> list[int]:
-        return [int(x) + self.min_element for x in np.nonzero(self.indicator(self.min_element, bound))[0]]
-
-    def is_stable(self) -> bool:
-        """Check stability under adding ambient generators (exact: elements at
-        conductor or above only ever move further into the tail)."""
-        for x in self.head:
-            for g in self.ambient.generators:
-                if not self.contains(x + g):
-                    return False
-        return True
 
     def __eq__(self, other: object) -> bool:
         return (

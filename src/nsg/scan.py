@@ -34,8 +34,13 @@ from .ideals import TraceReport, gap_bound_check, trace_and_residue  # noqa: F40
 from .semigroup import NumericalSemigroup, gap_profile, new_semigroup, pseudo_frobenius
 from .toric import ClosureVerdict, acm_and_hypothesis
 
+# Instance count of a random, gluing or lifting scan when no limit is given.
+DEFAULT_LIMIT = 100
+
+# Largest common difference d of the arithmetic family's sequences.
+ARITHMETIC_MAX_D = 5
+
 __all__ = [
-    "ScanRecord",
     "ScanSummary",
     "record_id",
     "canonical_json",
@@ -65,30 +70,6 @@ def _timestamp() -> int:
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    id: str
-    generators: tuple[int, ...]
-    provenance: dict
-    invariants_json: dict
-    verification: dict | None
-    timestamp: int
-    seed: int
-
-    def to_json(self) -> dict:
-        payload = {
-            "id": self.id,
-            "generators": list(self.generators),
-            "provenance": self.provenance,
-            "invariants_json": self.invariants_json,
-            "timestamp": self.timestamp,
-            "seed": self.seed,
-        }
-        if self.verification is not None:
-            payload["verification"] = self.verification
-        return payload
-
-
-@dataclass(frozen=True)
 class ScanSummary:
     records: int
     gorenstein: int
@@ -104,13 +85,13 @@ class ScanSummary:
         )
 
 
-def info_payload(s: NumericalSemigroup, toric: bool = False, slack: bool = False) -> dict:
-    """All invariants of one semigroup, JSON-ready (integers only)."""
-    return _invariants(s, trace_and_residue(s), toric=toric, slack=slack)
-
-
-def _invariants(s: NumericalSemigroup, report: TraceReport, toric: bool = False, slack: bool = False) -> dict:
-    """``info_payload`` with the trace report already computed."""
+def info_payload(
+    s: NumericalSemigroup, toric: bool = False, slack: bool = False, report: TraceReport | None = None
+) -> dict:
+    """All invariants of one semigroup, JSON-ready (integers only); pass
+    ``report`` when the trace of ``s`` is already computed."""
+    if report is None:
+        report = trace_and_residue(s)
     profile = gap_profile(s)
     if s.is_naturals:
         pf_elements: tuple[int, ...] = ()
@@ -158,28 +139,21 @@ def _verification_payload(outcome: VerificationOutcome) -> dict:
 
 
 def build_record(
-    s: NumericalSemigroup,
-    provenance: dict,
-    seed: int,
-    verification: dict | None = None,
-    toric: bool = False,
-    slack: bool = False,
-) -> ScanRecord:
-    return _record(s, provenance, seed, info_payload(s, toric=toric, slack=slack), verification)
-
-
-def _record(
     s: NumericalSemigroup, provenance: dict, seed: int, invariants: dict, verification: dict | None = None
-) -> ScanRecord:
-    return ScanRecord(
-        id=record_id(s.generators),
-        generators=s.generators,
-        provenance=provenance,
-        invariants_json=invariants,
-        verification=verification,
-        timestamp=_timestamp(),
-        seed=seed,
-    )
+) -> dict:
+    """JSON-ready scan record; the ``verification`` key is present only
+    when a verification is given."""
+    record = {
+        "id": record_id(s.generators),
+        "generators": list(s.generators),
+        "provenance": provenance,
+        "invariants_json": invariants,
+        "timestamp": _timestamp(),
+        "seed": seed,
+    }
+    if verification is not None:
+        record["verification"] = verification
+    return record
 
 
 def _construction_record(
@@ -188,10 +162,10 @@ def _construction_record(
     """JSON record of a gluing or lifting, verified against ``predicted``
     when one is given; the trace computed to verify it is the record's too."""
     if predicted is None:
-        return build_record(built, provenance, seed).to_json()
+        return build_record(built, provenance, seed, info_payload(built))
     outcome = verify_construction(predicted, built)
-    invariants = _invariants(built, outcome.computed.trace)
-    return _record(built, provenance, seed, invariants, _verification_payload(outcome)).to_json()
+    invariants = info_payload(built, report=outcome.computed.trace)
+    return build_record(built, provenance, seed, invariants, _verification_payload(outcome))
 
 
 def random_semigroup(rng: random.Random, max_multiplicity: int, min_multiplicity: int = 3) -> NumericalSemigroup:
@@ -267,13 +241,13 @@ def _pmap(fn: Callable, items: list) -> list:
 def _random_worker(args: tuple) -> dict:
     generators, seed = args
     s = new_semigroup(generators)
-    return build_record(s, {"kind": "random"}, seed).to_json()
+    return build_record(s, {"kind": "random"}, seed, info_payload(s))
 
 
 def _arithmetic_worker(args: tuple) -> dict:
     n1, d, e, seed = args
     s = arithmetic_semigroup(n1, d, e)
-    return build_record(s, {"kind": "arithmetic", "n1": n1, "d": d, "e": e}, seed, toric=True).to_json()
+    return build_record(s, {"kind": "arithmetic", "n1": n1, "d": d, "e": e}, seed, info_payload(s, toric=True))
 
 
 def _gluing_worker(args: tuple) -> dict:
@@ -297,38 +271,34 @@ def _lifting_worker(args: tuple) -> dict:
     return _construction_record(built, provenance, seed, lifted_invariants(base, k) if verify else None)
 
 
-def scan_family(
-    family: str,
-    seed: int,
-    limit: int,
-    max_multiplicity: int,
-    verify: bool = False,
-    max_d: int = 5,
-) -> list[dict]:
-    """Deterministic scan of one family; returns sorted JSON-ready records."""
+def scan_family(family: str, seed: int, limit: int | None, max_multiplicity: int, verify: bool = False) -> list[dict]:
+    """Deterministic scan of one family; returns sorted JSON-ready records.
+
+    ``limit`` caps the instance count; None means the family default: the
+    whole grid for ``arithmetic`` and ``DEFAULT_LIMIT`` draws otherwise.
+    """
     rng = random.Random(seed)
+    count = DEFAULT_LIMIT if limit is None else limit
     items: list[tuple] = []
     if family == "random":
-        for _ in range(limit):
+        for _ in range(count):
             items.append((random_semigroup(rng, max_multiplicity).generators, seed))
         records = _pmap(_random_worker, items)
     elif family == "arithmetic":
         for n1 in range(3, max_multiplicity + 1):
-            for d in range(1, max_d + 1):
+            for d in range(1, ARITHMETIC_MAX_D + 1):
                 if math.gcd(n1, d) != 1:
                     continue
                 for e in range(3, n1 + 1):
                     items.append((n1, d, e, seed))
-        if limit:
-            items = items[:limit]
-        records = _pmap(_arithmetic_worker, items)
+        records = _pmap(_arithmetic_worker, items[:limit])
     elif family == "gluing":
-        for _ in range(limit):
+        for _ in range(count):
             spec = random_gluing_spec(rng, max_multiplicity)
             items.append((spec.left.generators, spec.right.generators, spec.lam, spec.mu, verify, seed))
         records = _pmap(_gluing_worker, items)
     elif family == "lifting":
-        for _ in range(limit):
+        for _ in range(count):
             s, k = random_lift(rng, max_multiplicity)
             items.append((s.generators, k, verify, seed))
         records = _pmap(_lifting_worker, items)
@@ -372,7 +342,7 @@ def hunt(max_genus: int, seed: int = 0) -> tuple[list[dict], list[dict], dict[in
     histogram: dict[int, int] = {}
     for genus, level in by_genus(max_genus):
         for s in level:
-            rec = build_record(s, {"kind": "hunt", "genus": genus}, seed, slack=True).to_json()
+            rec = build_record(s, {"kind": "hunt", "genus": genus}, seed, info_payload(s, slack=True))
             inv = rec["invariants_json"]
             histogram[inv["slack"]] = histogram.get(inv["slack"], 0) + 1
             records.append(rec)

@@ -117,11 +117,6 @@ class NumericalSemigroup:
     def is_naturals(self) -> bool:
         return self.generators == (1,)
 
-    @property
-    def window_size(self) -> int:
-        """n1 * ne, which exceeds F + ne by Schur's bound F <= (n1 - 1)(ne - 1) - 1."""
-        return self.generators[0] * self.generators[-1]
-
     def contains(self, x: int) -> bool:
         """Membership test, valid for any integer."""
         return x >= 0 and x >= self.apery[x % self.multiplicity]
@@ -133,10 +128,6 @@ class NumericalSemigroup:
         # row q, column r stands for q * m + r, a member iff q >= apery[r] // m
         grid = np.arange(rows)[:, None] >= np.array(self.apery) // m
         return grid.ravel()[:size]
-
-    def members_below(self, bound: int) -> list[int]:
-        """All semigroup elements in [0, bound)."""
-        return [int(x) for x in np.nonzero(self.member_mask(bound))[0]]
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)

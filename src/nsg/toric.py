@@ -28,7 +28,6 @@ __all__ = [
     "GroebnerBasis",
     "ClosureVerdict",
     "AcmHypothesisReport",
-    "ArithmeticGbReport",
     "degrevlex",
     "elimination_order",
     "buchberger",
@@ -37,7 +36,6 @@ __all__ = [
     "homogenized_gb",
     "acm_and_hypothesis",
     "projective_ng_verdict",
-    "arithmetic_gb",
 ]
 
 Monomial = tuple[int, ...]
@@ -163,15 +161,10 @@ class GroebnerBasis:
 
     elements: tuple[Binomial, ...]
     order: MonomialOrder
-    homogeneous_flags: tuple[bool, ...]
 
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(b.plus for b in self.elements)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.order.variables)
 
     def to_json(self) -> dict:
         return {"order": self.order.to_json(), "elements": [b.to_json() for b in self.elements]}
@@ -273,9 +266,7 @@ def buchberger(
     # interreduce tails against the kept leads
     final = _Reducer(kept)
     reduced = [Binomial(b.plus, final.reduce(b.minus)) for b in kept]
-
-    flags = tuple(b.homogeneous for b in reduced)
-    return GroebnerBasis(tuple(reduced), order, flags)
+    return GroebnerBasis(tuple(reduced), order)
 
 
 def normal_form(item: Binomial | Monomial, gb: GroebnerBasis) -> Binomial | Monomial | None:
@@ -360,7 +351,7 @@ def reduced_gb(s: NumericalSemigroup) -> GroebnerBasis:
                 raise AssertionError(f"t-free lead with t in the tail: {b}")
             elements.append(Binomial(b.plus[1:], b.minus[1:]))
     elements.sort(key=lambda b: order.key(b.plus))
-    gb = GroebnerBasis(tuple(elements), order, tuple(b.homogeneous for b in elements))
+    gb = GroebnerBasis(tuple(elements), order)
     _assert_balanced(gb, s.generators)
     _assert_coprime_parts(gb)
     return gb
@@ -403,7 +394,7 @@ def homogenized_gb(s: NumericalSemigroup) -> GroebnerBasis:
         if not order.greater(plus, minus):
             raise AssertionError(f"homogenization flipped the lead of {b}")
         elements.append(Binomial(plus, minus))
-    gb = GroebnerBasis(tuple(elements), order, tuple(True for _ in elements))
+    gb = GroebnerBasis(tuple(elements), order)
     if not is_groebner(gb):
         raise AssertionError(f"homogenized basis of {s} fails the Buchberger criterion")
     _assert_balanced(gb, s.generators + (0,))
@@ -478,30 +469,3 @@ def projective_ng_verdict(s: NumericalSemigroup) -> ClosureVerdict:
     """Combine the transfer criterion with the affine residue computation."""
     report = acm_and_hypothesis(s)
     return ClosureVerdict.from_report(report, trace_and_residue(s).nearly_gorenstein)
-
-
-@dataclass(frozen=True)
-class ArithmeticGbReport:
-    gb: GroebnerBasis
-    printed_set_used: bool
-    discrepancies: tuple[str, ...]
-
-
-def arithmetic_gb(n1: int, d: int, e: int) -> ArithmeticGbReport:
-    """Basis of an arithmetic-sequence curve, checked against the published one.
-
-    The second family as printed indexes x_(e+i), past the end of the
-    variable list.  Writing n1 = q*(e-1) + r' with r' in [1, e-1], that
-    family has e - r' >= 1 members, so the printed set is never usable: the
-    discrepancy is recorded and the computed basis returned instead of
-    guessing the intended index.
-    """
-    from .constructions import arithmetic_semigroup
-
-    reference = reduced_gb(arithmetic_semigroup(n1, d, e))
-    r_prime = (n1 - 1) % (e - 1) + 1
-    discrepancy = (
-        f"second family as printed uses x_(e+i) with e={e}, i up to {e - r_prime}, "
-        "which is outside the variable list"
-    )
-    return ArithmeticGbReport(gb=reference, printed_set_used=False, discrepancies=(discrepancy,))

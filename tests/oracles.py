@@ -12,6 +12,11 @@ import math
 from typing import Sequence
 
 
+def window(generators: Sequence[int]) -> int:
+    """n1 * ne, which exceeds F + ne by Schur's bound F <= (n1 - 1)(ne - 1) - 1."""
+    return min(generators) * max(generators)
+
+
 def dp_membership(generators: Sequence[int], limit: int) -> list[bool]:
     """Textbook forward DP: table[x] iff x is a sum of the generators."""
     table = [False] * (limit + 1)

@@ -21,7 +21,7 @@ from nsg.scan import hunt, random_gluing_spec, random_lift, scan_family
 from nsg.semigroup import gap_profile, new_semigroup
 from nsg.toric import acm_and_hypothesis, is_groebner, projective_ng_verdict, reduced_gb
 
-from oracles import brute_trace, gap_sets_by_genus
+from oracles import brute_trace, gap_sets_by_genus, window
 
 GLUING_SEED = 20240817
 LIFTING_SEED = 964213
@@ -66,9 +66,9 @@ def test_criterion_1_trace_residue_pipeline():
     for gens, residue in expected.items():
         s = new_semigroup(gens)
         rep = trace_and_residue(s)
-        span = 2 * s.window_size
-        realized = {x for x in range(span + 1) if rep.trace.contains(x)}
-        oracle = brute_trace(s.generators, s.window_size, s.frobenius)
+        w = window(s.generators)
+        realized = {x for x in range(2 * w + 1) if rep.trace.contains(x)}
+        oracle = brute_trace(s.generators, w, s.frobenius)
         ok &= rep.residue == residue and realized == oracle
     s = new_semigroup([3, 5, 7])
     rep = trace_and_residue(s)
@@ -209,7 +209,7 @@ def test_criterion_10_scan_determinism(tmp_path):
         ("random", dict(seed=7, limit=25, max_multiplicity=9)),
         ("gluing", dict(seed=42, limit=25, max_multiplicity=9, verify=True)),
         ("lifting", dict(seed=42, limit=25, max_multiplicity=9, verify=True)),
-        ("arithmetic", dict(seed=0, limit=0, max_multiplicity=7)),
+        ("arithmetic", dict(seed=0, limit=None, max_multiplicity=7)),
     ):
         a, b = tmp_path / f"{family}_a.jsonl", tmp_path / f"{family}_b.jsonl"
         write_jsonl(str(a), scan_family(family, **kwargs))

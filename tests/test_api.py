@@ -1,0 +1,32 @@
+"""The public surface: every exported name exists, and every function the
+benchmark's spans wrap is still a function of its module, so a deletion
+that would break ``pytest bench`` fails here too."""
+
+import importlib
+import importlib.util
+import inspect
+import pkgutil
+from pathlib import Path
+
+import nsg
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def test_every_exported_name_exists():
+    modules = [nsg] + [importlib.import_module(f"nsg.{info.name}") for info in pkgutil.iter_modules(nsg.__path__)]
+    missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    assert missing == []
+
+
+def test_benchmark_spans_wrap_existing_functions():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"nsg.{layer}.{name}"
+        for layer, names in spans.LAYERS.items()
+        for name in names
+        if not inspect.isfunction(getattr(importlib.import_module(f"nsg.{layer}"), name, None))
+    ]
+    assert missing == []

@@ -1,0 +1,68 @@
+"""The two genus-17 counterexamples to residue <= genus - non_gap_count,
+checked field by field against the brute-force oracles, and the verified
+liftings and gluings that carry each one to slack -k and -mu.
+
+They are the smallest violations in the genus tree (none at genus 16 or
+below); the paper answers the question only for gluings.
+"""
+
+import pytest
+
+from nsg.constructions import GluingSpec, glue, glued_invariants, lift, lifted_invariants, verify_construction
+from nsg.scan import info_payload
+from nsg.semigroup import new_semigroup
+
+from oracles import brute_pf, brute_trace, dp_membership, window
+
+# generators, Frobenius number, residue, gap bound, and a lambda for gluing with <2, 3>
+COUNTEREXAMPLES = [
+    ((13, 14, 15, 16, 17, 18, 21, 23), 25, 9, 8, 27),
+    ((13, 15, 16, 17, 18, 19, 21, 24, 25), 27, 7, 6, 28),
+]
+IDS = ["13_to_23", "13_to_25"]
+
+
+@pytest.mark.parametrize("gens, frobenius, residue, bound, lam", COUNTEREXAMPLES, ids=IDS)
+def test_counterexample_fields_match_oracles(gens, frobenius, residue, bound, lam):
+    w = window(gens)
+    table = dp_membership(gens, 2 * w)
+    gaps = [x for x in range(w) if not table[x]]
+    f = max(gaps)
+    non_gaps = sum(table[:f])
+    trace = brute_trace(gens, w, f)
+    missing = [x for x in range(2 * w + 1) if table[x] and x not in trace]
+
+    payload = info_payload(new_semigroup(gens), slack=True)
+    assert (f, len(gaps) - non_gaps, len(missing)) == (frobenius, bound, residue)
+    assert payload["frobenius"] == f and payload["gaps"] == gaps
+    assert payload["genus"] == len(gaps) == 17
+    assert payload["non_gap_count"] == non_gaps
+    assert payload["pf"] == brute_pf(gens, f)
+    assert payload["residue"] == len(missing) and payload["missing"] == missing
+    assert payload["gap_bound"] == len(gaps) - non_gaps
+    assert payload["question_holds"] is False
+    assert payload["slack"] == -1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("gens, frobenius, residue, bound, lam", COUNTEREXAMPLES, ids=IDS)
+def test_lifting_scales_the_violation(gens, frobenius, residue, bound, lam, k):
+    base = new_semigroup(gens)
+    predicted = lifted_invariants(base, k)
+    outcome = verify_construction(predicted, lift(base, k))
+    assert outcome.verified, outcome.discrepancies
+    assert (predicted.residue, predicted.gap_bound) == (k * residue, k * bound)
+    gaps = outcome.computed.gaps
+    assert gaps.genus - gaps.non_gap_count - outcome.computed.trace.residue == -k
+
+
+@pytest.mark.parametrize("gens, frobenius, residue, bound, lam", COUNTEREXAMPLES, ids=IDS)
+def test_gluing_with_a_symmetric_factor_scales_the_violation(gens, frobenius, residue, bound, lam):
+    mu = 5
+    spec = GluingSpec(new_semigroup(gens), new_semigroup([2, 3]), lam, mu)
+    predicted = glued_invariants(spec)
+    outcome = verify_construction(predicted, glue(spec))
+    assert outcome.verified, outcome.discrepancies
+    assert (predicted.residue, predicted.gap_bound) == (mu * residue, mu * bound)
+    gaps = outcome.computed.gaps
+    assert gaps.genus - gaps.non_gap_count - outcome.computed.trace.residue == -mu

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
 import nsg.cli as cli_mod
 import nsg.semigroup as semigroup_mod
@@ -19,7 +20,8 @@ from nsg.scan import (
 )
 from nsg.semigroup import new_semigroup
 
-from oracles import gap_sets_by_genus
+from oracles import brute_pf, dp_membership, gap_sets_by_genus, window
+from strategies import semigroups
 
 
 @pytest.fixture
@@ -83,7 +85,7 @@ class TestScanFamilies:
             assert record["invariants_json"] == info_payload(s)
 
     def test_arithmetic_scan_residues(self):
-        records = scan_family("arithmetic", seed=0, limit=0, max_multiplicity=8)
+        records = scan_family("arithmetic", seed=0, limit=None, max_multiplicity=8)
         assert records
         for r in records:
             assert r["invariants_json"]["residue"] <= 1
@@ -251,11 +253,20 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
 
     def test_scan_empty(self, runner, tmp_path):
-        out = tmp_path / "empty.jsonl"
-        result = runner.invoke(main, ["scan", "random", "--seed", "7", "--limit", "0", "--out", str(out)])
-        assert result.exit_code == 0
-        assert out.read_text() == ""
-        assert "0 records" in result.output
+        for family in ("random", "arithmetic", "gluing", "lifting"):
+            out = tmp_path / f"{family}.jsonl"
+            result = runner.invoke(main, ["scan", family, "--seed", "7", "--limit", "0", "--out", str(out)])
+            assert result.exit_code == 0
+            assert out.read_text() == ""
+            assert "0 records" in result.output
+
+    def test_scan_limit_defaults_per_family(self, runner, tmp_path):
+        # the whole n1 <= 9 grid, not the first 100 of its 101 instances
+        for family, records in (("arithmetic", 101), ("random", 100)):
+            out = tmp_path / f"{family}.jsonl"
+            result = runner.invoke(main, ["scan", family, "--max-multiplicity", "9", "--out", str(out)])
+            assert result.exit_code == 0
+            assert len(out.read_text().splitlines()) == records
 
     def test_scan_io_error_exits_4(self, runner, tmp_path):
         missing_dir = tmp_path / "nope" / "scan.jsonl"
@@ -299,3 +310,16 @@ class TestCli:
         assert result.exit_code == 2
         assert f"NSG_THREADS must be a positive integer, got {value!r}" in result.output
         assert not out.exists()
+
+
+@settings(max_examples=30, deadline=None)
+@given(semigroups())
+def test_info_json_round_trip(s):
+    result = CliRunner().invoke(main, ["info", ",".join(map(str, s.generators)), "--json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload == {"generators": list(s.generators), **info_payload(s)}
+    gaps = [x for x, member in enumerate(dp_membership(s.generators, window(s.generators))) if not member]
+    assert payload["frobenius"] == max(gaps)
+    assert payload["genus"] == len(gaps)
+    assert payload["pf"] == brute_pf(s.generators, max(gaps))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nsg.errors import EmptyInput, GcdNotOne, TrivialSemigroup
 from nsg.semigroup import gap_profile, new_semigroup, pseudo_frobenius
 
-from oracles import brute_contains, brute_members, brute_pf, dp_membership, selmer_genus
+from oracles import brute_contains, brute_members, brute_pf, dp_membership, selmer_genus, window
 from strategies import semigroups
 
 
@@ -62,7 +62,7 @@ class TestMembership:
 
     def test_window_safety(self):
         s = new_semigroup([3, 5, 7])
-        assert all(s.contains(x) for x in range(s.frobenius + 1, s.window_size + 1))
+        assert all(s.contains(x) for x in range(s.frobenius + 1, window(s.generators) + 1))
 
 
 class TestAperyAndFrobenius:
@@ -121,8 +121,9 @@ class TestPseudoFrobenius:
 @settings(max_examples=60, deadline=None)
 @given(semigroups())
 def test_window_matches_dp_oracle(s):
-    table = dp_membership(s.generators, s.window_size)
-    assert np.array_equal(s.member_mask(s.window_size + 1), np.array(table))
+    w = window(s.generators)
+    table = dp_membership(s.generators, w)
+    assert np.array_equal(s.member_mask(w + 1), np.array(table))
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,16 +134,18 @@ def test_non_minimal_input_matches_dp_oracle(raw, data):
     raw = raw + [a + b for a, b in zip(raw, raw[1:])]
     assume(math.gcd(*raw) == 1)
     s = new_semigroup(raw)
-    table = dp_membership(raw, s.window_size)
-    assert [s.contains(x) for x in range(s.window_size + 1)] == table
-    assert np.array_equal(s.member_mask(s.window_size + 1), np.array(table))
+    w = window(s.generators)
+    table = dp_membership(raw, w)
+    assert [s.contains(x) for x in range(w + 1)] == table
+    assert np.array_equal(s.member_mask(w + 1), np.array(table))
 
 
 @settings(max_examples=60, deadline=None)
 @given(semigroups())
 def test_frobenius_and_apery_consistent(s):
-    members = brute_members(s.generators, s.window_size)
-    assert s.frobenius == max(x for x in range(s.window_size + 1) if x not in members)
+    w = window(s.generators)
+    members = brute_members(s.generators, w)
+    assert s.frobenius == max(x for x in range(w + 1) if x not in members)
     for i, w in enumerate(s.apery):
         assert w % s.multiplicity == i
         assert w == min(x for x in members if x % s.multiplicity == i)
@@ -180,9 +183,10 @@ def test_generators_are_minimal(s):
 @settings(max_examples=40, deadline=None)
 @given(semigroups())
 def test_window_safety_property(s):
-    tail = s.member_mask(s.window_size + 1)[s.frobenius + 1 :]
+    w = window(s.generators)
+    tail = s.member_mask(w + 1)[s.frobenius + 1 :]
     assert bool(tail.all())
-    assert tail.tolist() == dp_membership(s.generators, s.window_size)[s.frobenius + 1 :]
+    assert tail.tolist() == dp_membership(s.generators, w)[s.frobenius + 1 :]
 
 
 def test_large_semigroup_from_apery_set():

@@ -14,7 +14,6 @@ from nsg.toric import (
     Binomial,
     _graph_ideal,
     acm_and_hypothesis,
-    arithmetic_gb,
     buchberger,
     defining_ideal,
     degrevlex,
@@ -201,7 +200,7 @@ class TestHomogenizedGb:
 
     def test_all_elements_homogeneous(self):
         gb = homogenized_gb(new_semigroup([4, 5, 7]))
-        assert all(gb.homogeneous_flags)
+        assert all(b.homogeneous for b in gb.elements)
         assert is_groebner(gb)
 
 
@@ -240,26 +239,12 @@ class TestProjectiveVerdict:
 
 
 class TestArithmeticGb:
-    def test_313_falls_back_with_discrepancy(self):
-        rep = arithmetic_gb(3, 1, 3)
-        assert not rep.printed_set_used
-        assert any("x_(e+i)" in d for d in rep.discrepancies)
-        assert rep.gb.elements == reduced_gb(new_semigroup([3, 4, 5])).elements
-
     def test_515_quadrics_and_second_family_shape(self):
-        rep = arithmetic_gb(5, 1, 5)
-        gb = rep.gb
+        gb = reduced_gb(arithmetic_semigroup(5, 1, 5))
         homog = [b for b in gb.elements if b.homogeneous]
         assert len(homog) == 6  # the quadric family for 2 <= i <= j <= 4
         assert all(sum(b.plus) == 2 and sum(b.minus) == 2 for b in homog)
         assert len(gb.elements) == 10
-
-    def test_433_set_lies_in_ideal(self):
-        rep = arithmetic_gb(4, 3, 3)
-        reference = reduced_gb(new_semigroup([4, 7, 10]))
-        assert rep.gb.elements == reference.elements
-        for b in rep.gb.elements:
-            assert normal_form(b, reference) is None
 
 
 def test_buchberger_deterministic_repeat():
