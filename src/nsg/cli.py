@@ -77,7 +77,7 @@ def _report_verification(predicted, built, as_json: bool) -> None:
                     "generators": list(built.generators),
                     "verified": outcome.verified,
                     "discrepancies": list(outcome.discrepancies),
-                    "invariants_json": info_payload(built, report=outcome.computed.trace),
+                    "invariants_json": info_payload(built, report=outcome.computed),
                 }
             )
         )
@@ -167,7 +167,7 @@ def toric(generators: str, as_json: bool) -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--limit",
-    type=int,
+    type=click.IntRange(min=0),
     default=None,
     show_default=f"the whole grid for arithmetic, {DEFAULT_LIMIT} otherwise",
     help="Instance count (0 for an empty scan).",
@@ -191,13 +191,12 @@ def scan(family: str, seed: int, limit: int | None, max_multiplicity: int, out: 
 
 @main.command()
 @click.option("--max-genus", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Optional JSONL file for all records.")
-def hunt(max_genus: int, seed: int, out: str | None) -> None:
+def hunt(max_genus: int, out: str | None) -> None:
     """Exhaustively test residue <= genus - non_gaps up to a genus bound."""
     if max_genus < 1:
         raise click.UsageError("--max-genus must be >= 1")
-    records, findings, histogram = run_hunt(max_genus, seed=seed)
+    records, findings, histogram = run_hunt(max_genus)
     if out is not None:
         try:
             write_jsonl(out, records)

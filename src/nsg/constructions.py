@@ -24,7 +24,7 @@ from .errors import (
     ScaledSetsIntersect,
 )
 from .ideals import RelativeIdeal, TraceReport, _from_class_mins, _min_gens, _sum, trace_and_residue
-from .semigroup import GapProfile, NumericalSemigroup, gap_profile, new_semigroup, pseudo_frobenius
+from .semigroup import NumericalSemigroup, new_semigroup
 
 __all__ = [
     "GluingSpec",
@@ -73,29 +73,11 @@ class PredictedInvariants:
 
 
 @dataclass(frozen=True)
-class ComputedInvariants:
-    trace: TraceReport
-    gaps: GapProfile
-
-
-@dataclass(frozen=True)
 class VerificationOutcome:
     predicted: PredictedInvariants
-    computed: ComputedInvariants
+    computed: TraceReport
     verified: bool
     discrepancies: tuple[str, ...]
-
-
-def _pf_elements(s: NumericalSemigroup) -> tuple[int, ...]:
-    """Pseudo-Frobenius numbers, extended to the naturals by (-1,).
-
-    The extension keeps the gluing and lifting formulas total: -1 is the
-    Frobenius number of the naturals and plays the canonical-generator role
-    there.
-    """
-    if s.is_naturals:
-        return (-1,)
-    return pseudo_frobenius(s).elements
 
 
 def _validate(spec: GluingSpec) -> None:
@@ -146,8 +128,8 @@ def _glued_invariants(spec: GluingSpec, built: NumericalSemigroup) -> PredictedI
     """``glued_invariants`` for a gluing already built by ``glue(spec)``."""
     lam, mu = spec.lam, spec.mu
     f1, f2 = spec.left.frobenius, spec.right.frobenius
-    pf = tuple(sorted({mu * g + lam * h + mu * lam for g in _pf_elements(spec.left) for h in _pf_elements(spec.right)}))
     rep1, rep2 = trace_and_residue(spec.left), trace_and_residue(spec.right)
+    pf = tuple(sorted({mu * g + lam * h + mu * lam for g in rep1.pf for h in rep2.pf}))
     trace = _predicted_glued_trace(spec, built, rep1.trace_min_gens, rep2.trace_min_gens)
     return PredictedInvariants(
         frobenius=mu * f1 + lam * f2 + mu * lam,
@@ -189,7 +171,7 @@ def lifted_invariants(s: NumericalSemigroup, k: int) -> PredictedInvariants:
     report = trace_and_residue(s)
     return PredictedInvariants(
         frobenius=k * s.frobenius + (k - 1) * n1,
-        pf=tuple(sorted(k * f + (k - 1) * n1 for f in _pf_elements(s))),
+        pf=tuple(sorted(k * f + (k - 1) * n1 for f in report.pf)),
         trace_min_gens=tuple(sorted(k * g for g in report.trace_min_gens)),
         residue=k * report.residue,
         gap_bound=k * report.gap_bound,
@@ -198,17 +180,17 @@ def lifted_invariants(s: NumericalSemigroup, k: int) -> PredictedInvariants:
 
 
 def verify_construction(predicted: PredictedInvariants, built: NumericalSemigroup) -> VerificationOutcome:
-    """Recompute every predicted invariant directly and diff the two sides."""
+    """Recompute every predicted invariant directly, in one trace of the
+    built semigroup, and diff the two sides."""
     report = trace_and_residue(built)
-    gp = gap_profile(built)
     discrepancies = []
     if predicted.frobenius != built.frobenius:
         discrepancies.append("frobenius")
-    if predicted.pf != _pf_elements(built):
+    if predicted.pf != report.pf:
         discrepancies.append("pf")
     if predicted.residue != report.residue:
         discrepancies.append("residue")
-    if predicted.gap_bound != gp.genus - gp.non_gap_count:
+    if predicted.gap_bound != report.gap_bound:
         discrepancies.append("gap_bound")
     if predicted.trace_set is not None and predicted.trace_set != report.trace:
         discrepancies.append("trace_set")
@@ -216,7 +198,7 @@ def verify_construction(predicted: PredictedInvariants, built: NumericalSemigrou
         discrepancies.append("trace_min_gens")
     return VerificationOutcome(
         predicted=predicted,
-        computed=ComputedInvariants(trace=report, gaps=gp),
+        computed=report,
         verified=not discrepancies,
         discrepancies=tuple(discrepancies),
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbientMismatch, TrivialSemigroup
-from .semigroup import _BLOCK, NumericalSemigroup
+from .semigroup import NumericalSemigroup, _fold, pseudo_frobenius
 
 __all__ = [
     "RelativeIdeal",
@@ -88,25 +88,6 @@ def _from_class_mins(ambient: NumericalSemigroup, x: np.ndarray) -> RelativeIdea
     return RelativeIdeal(ambient, tuple(v[v >= x[v % m]].tolist()), conductor)
 
 
-def _fold(vec: np.ndarray, shifts: np.ndarray, offsets: np.ndarray, reduce: np.ufunc) -> np.ndarray:
-    """reduce over i of vec[(c + shifts[i]) mod m] + offsets[i], for each c.
-
-    One gather of whole rotations per block of generators: row r of the
-    (m x m) view below is doubled[r : r + m], vec rotated left by r.
-    """
-    m = len(vec)
-    doubled = np.concatenate((vec, vec))
-    rotations = np.ndarray((m, m), doubled.dtype, doubled, strides=doubled.strides * 2)
-    rows = max(1, _BLOCK // m)
-    out = None
-    for i in range(0, len(shifts), rows):
-        block = rotations[shifts[i : i + rows] % m]
-        block += offsets[i : i + rows, None]
-        part = reduce.reduce(block, axis=0)
-        out = part if out is None else reduce(out, part, out=out)
-    return out
-
-
 def _min_gens(x: np.ndarray, generators: tuple[int, ...]) -> np.ndarray:
     """Sorted minimal generators of the ideal with class-minimum vector x
     over the semigroup with these generators (the first is m): x[c] stays
@@ -128,18 +109,18 @@ def _sum(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _fold(x, -gens, gens, np.minimum)
 
 
-def _canonical(s: NumericalSemigroup, apery: np.ndarray) -> np.ndarray:
-    """z is in K iff F - z is a gap, iff z > F - Ap[(F - z) mod m]."""
-    m, f = s.multiplicity, s.frobenius
-    return f + m - apery[(f - np.arange(m)) % m]
-
-
 @dataclass(frozen=True)
 class TraceReport:
-    """Trace ideal of the canonical ideal, with residue and classification."""
+    """Trace ideal of the canonical ideal, with residue and classification.
+
+    ``pf`` holds the pseudo-Frobenius numbers; the naturals carry (-1,):
+    -1 is their Frobenius number and plays the canonical-generator role
+    there, which keeps the gluing and lifting formulas total.
+    """
 
     trace: RelativeIdeal
     trace_min_gens: tuple[int, ...]
+    pf: tuple[int, ...]
     residue: int
     missing: tuple[int, ...]
     gorenstein: bool
@@ -165,7 +146,9 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """
     if s.is_naturals:
         raise TrivialSemigroup("the naturals are their own canonical ideal; no gaps to reflect")
-    return _from_class_mins(s, _canonical(s, np.array(s.apery)))
+    m, f = s.multiplicity, s.frobenius
+    # z is in K iff F - z is a gap, iff z > F - Ap[(F - z) mod m]
+    return _from_class_mins(s, f + m - np.array(s.apery)[(f - np.arange(m)) % m])
 
 
 def dual_ideal(s: NumericalSemigroup, ideal: RelativeIdeal) -> RelativeIdeal:
@@ -210,7 +193,8 @@ def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
 def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
     """Canonical trace ideal, residue, and nearly-Gorenstein classification.
 
-    The trace is K + (S - K), all on class-minimum vectors.  The residue
+    The trace is K + (S - K), all on class-minimum vectors, where K is
+    generated by F - x over the pseudo-Frobenius numbers x.  The residue
     counts the members below the trace's class minima; genus comes from
     Selmer's formula (the sum of Ap[c] // m), and the Gorenstein flag from
     the independent symmetry count 2 * genus == F + 1, which is
@@ -218,7 +202,8 @@ def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
     """
     m, f = s.multiplicity, s.frobenius
     apery = np.array(s.apery)
-    kan_gens = _min_gens(_canonical(s, apery), s.generators)
+    pf = (-1,) if s.is_naturals else pseudo_frobenius(s).elements
+    kan_gens = f - np.array(pf[::-1])
     trace = _sum(kan_gens, _dual(apery, kan_gens))
     counts = (trace - apery) // m
     residue = int(counts.sum())
@@ -235,6 +220,7 @@ def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
     return TraceReport(
         trace=_from_class_mins(s, trace),
         trace_min_gens=tuple(_min_gens(trace, s.generators).tolist()),
+        pf=pf,
         residue=residue,
         missing=tuple(missing.tolist()),
         gorenstein=gorenstein,

@@ -31,7 +31,7 @@ from .constructions import (
 )
 from .errors import GluingError, InvalidSetting
 from .ideals import TraceReport, gap_bound_check, trace_and_residue  # noqa: F401 (re-exported)
-from .semigroup import NumericalSemigroup, gap_profile, new_semigroup, pseudo_frobenius
+from .semigroup import NumericalSemigroup, gap_profile, new_semigroup
 from .toric import ClosureVerdict, acm_and_hypothesis
 
 # Instance count of a random, gluing or lifting scan when no limit is given.
@@ -93,10 +93,7 @@ def info_payload(
     if report is None:
         report = trace_and_residue(s)
     profile = gap_profile(s)
-    if s.is_naturals:
-        pf_elements: tuple[int, ...] = ()
-    else:
-        pf_elements = pseudo_frobenius(s).elements
+    pf_elements = () if s.is_naturals else report.pf
     payload = {
         "multiplicity": s.multiplicity,
         "embedding_dimension": s.embedding_dimension,
@@ -164,15 +161,15 @@ def _construction_record(
     if predicted is None:
         return build_record(built, provenance, seed, info_payload(built))
     outcome = verify_construction(predicted, built)
-    invariants = info_payload(built, report=outcome.computed.trace)
+    invariants = info_payload(built, report=outcome.computed)
     return build_record(built, provenance, seed, invariants, _verification_payload(outcome))
 
 
-def random_semigroup(rng: random.Random, max_multiplicity: int, min_multiplicity: int = 3) -> NumericalSemigroup:
+def random_semigroup(rng: random.Random, max_multiplicity: int) -> NumericalSemigroup:
     """Seeded random semigroup: pick a multiplicity, then draw generators
     from (m, 3m] until the set has gcd 1 and is already minimal."""
     while True:
-        m = rng.randint(min_multiplicity, max_multiplicity)
+        m = rng.randint(3, max_multiplicity)
         extra = rng.randint(1, max(1, m - 1))
         candidates = sorted({m, *(rng.randint(m + 1, 3 * m) for _ in range(extra))})
         if math.gcd(*candidates) != 1:
@@ -239,8 +236,7 @@ def _pmap(fn: Callable, items: list) -> list:
 
 
 def _random_worker(args: tuple) -> dict:
-    generators, seed = args
-    s = new_semigroup(generators)
+    s, seed = args
     return build_record(s, {"kind": "random"}, seed, info_payload(s))
 
 
@@ -251,23 +247,21 @@ def _arithmetic_worker(args: tuple) -> dict:
 
 
 def _gluing_worker(args: tuple) -> dict:
-    left_gens, right_gens, lam, mu, verify, seed = args
-    spec = GluingSpec(new_semigroup(left_gens), new_semigroup(right_gens), lam, mu)
+    spec, verify, seed = args
     built = glue(spec)
     provenance = {
         "kind": "gluing",
-        "parents": [record_id(left_gens), record_id(right_gens)],
-        "lambda": lam,
-        "mu": mu,
+        "parents": [record_id(spec.left.generators), record_id(spec.right.generators)],
+        "lambda": spec.lam,
+        "mu": spec.mu,
     }
     return _construction_record(built, provenance, seed, _glued_invariants(spec, built) if verify else None)
 
 
 def _lifting_worker(args: tuple) -> dict:
-    base_gens, k, verify, seed = args
-    base = new_semigroup(base_gens)
+    base, k, verify, seed = args
     built = lift(base, k)
-    provenance = {"kind": "lifting", "parent": record_id(base_gens), "k": k}
+    provenance = {"kind": "lifting", "parent": record_id(base.generators), "k": k}
     return _construction_record(built, provenance, seed, lifted_invariants(base, k) if verify else None)
 
 
@@ -276,13 +270,17 @@ def scan_family(family: str, seed: int, limit: int | None, max_multiplicity: int
 
     ``limit`` caps the instance count; None means the family default: the
     whole grid for ``arithmetic`` and ``DEFAULT_LIMIT`` draws otherwise.
+    Workers receive the drawn semigroups and specs themselves, not their
+    generators, so no drawn semigroup is rebuilt.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"scan limit must be >= 0, got {limit}")
     rng = random.Random(seed)
     count = DEFAULT_LIMIT if limit is None else limit
     items: list[tuple] = []
     if family == "random":
         for _ in range(count):
-            items.append((random_semigroup(rng, max_multiplicity).generators, seed))
+            items.append((random_semigroup(rng, max_multiplicity), seed))
         records = _pmap(_random_worker, items)
     elif family == "arithmetic":
         for n1 in range(3, max_multiplicity + 1):
@@ -294,13 +292,11 @@ def scan_family(family: str, seed: int, limit: int | None, max_multiplicity: int
         records = _pmap(_arithmetic_worker, items[:limit])
     elif family == "gluing":
         for _ in range(count):
-            spec = random_gluing_spec(rng, max_multiplicity)
-            items.append((spec.left.generators, spec.right.generators, spec.lam, spec.mu, verify, seed))
+            items.append((random_gluing_spec(rng, max_multiplicity), verify, seed))
         records = _pmap(_gluing_worker, items)
     elif family == "lifting":
         for _ in range(count):
-            s, k = random_lift(rng, max_multiplicity)
-            items.append((s.generators, k, verify, seed))
+            items.append((*random_lift(rng, max_multiplicity), verify, seed))
         records = _pmap(_lifting_worker, items)
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -330,10 +326,11 @@ def summarize(records: Iterable[dict]) -> ScanSummary:
     )
 
 
-def hunt(max_genus: int, seed: int = 0) -> tuple[list[dict], list[dict], dict[int, int]]:
+def hunt(max_genus: int) -> tuple[list[dict], list[dict], dict[int, int]]:
     """Enumerate the genus tree and look for residues above the gap bound.
 
-    Returns (all records sorted by id, violating records, slack histogram).
+    The tree draws nothing at random, so every record's seed is 0.  Returns
+    (all records sorted by id, violating records, slack histogram).
     """
     from .enumeration import by_genus
 
@@ -342,7 +339,7 @@ def hunt(max_genus: int, seed: int = 0) -> tuple[list[dict], list[dict], dict[in
     histogram: dict[int, int] = {}
     for genus, level in by_genus(max_genus):
         for s in level:
-            rec = build_record(s, {"kind": "hunt", "genus": genus}, seed, info_payload(s, slack=True))
+            rec = build_record(s, {"kind": "hunt", "genus": genus}, 0, info_payload(s, slack=True))
             inv = rec["invariants_json"]
             histogram[inv["slack"]] = histogram.get(inv["slack"], 0) + 1
             records.append(rec)

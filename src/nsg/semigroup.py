@@ -24,9 +24,9 @@ from .errors import EmptyInput, GcdNotOne, InputTooLarge, TrivialSemigroup
 # lists and ideal heads with F.
 SIZE_LIMIT = 10**7
 
-# Largest temporary, in array elements, of one (m x generators) numpy step
-# here and in the ideal layer: generators are processed in blocks of at most
-# _BLOCK // m, so a maximal-embedding-dimension semigroup (about m
+# Largest temporary, in array elements, of one (m x generators) ``_fold``
+# step, here and in the ideal layer: generators are processed in blocks of at
+# most _BLOCK // m, so a maximal-embedding-dimension semigroup (about m
 # generators) needs no m * m temporary.
 _BLOCK = 1 << 20
 
@@ -162,6 +162,25 @@ class PseudoFrobeniusSet:
     type: int
 
 
+def _fold(vec: np.ndarray, shifts: np.ndarray, offsets: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+    """reduce over i of vec[(c + shifts[i]) mod m] + offsets[i], for each c.
+
+    One gather of whole rotations per block of generators: row r of the
+    (m x m) view below is doubled[r : r + m], vec rotated left by r.
+    """
+    m = len(vec)
+    doubled = np.concatenate((vec, vec))
+    rotations = np.ndarray((m, m), doubled.dtype, doubled, strides=doubled.strides * 2)
+    rows = max(1, _BLOCK // m)
+    out = None
+    for i in range(0, len(shifts), rows):
+        block = rotations[shifts[i : i + rows] % m]
+        block += offsets[i : i + rows, None]
+        part = reduce.reduce(block, axis=0)
+        out = part if out is None else reduce(out, part, out=out)
+    return out
+
+
 def new_semigroup(raw_generators: Iterable[int]) -> NumericalSemigroup:
     """Build the semigroup generated by ``raw_generators``.
 
@@ -176,7 +195,7 @@ def gap_profile(s: NumericalSemigroup) -> GapProfile:
     if f < 0:
         return GapProfile(gaps=(), genus=0, frobenius=f, non_gap_count=0)
     window = s.member_mask(f + 1)
-    gaps = tuple(int(x) for x in np.nonzero(~window)[0])
+    gaps = tuple(np.flatnonzero(~window).tolist())
     non_gaps = int(np.count_nonzero(window[:f]))
     return GapProfile(gaps=gaps, genus=len(gaps), frobenius=f, non_gap_count=non_gaps)
 
@@ -186,17 +205,14 @@ def pseudo_frobenius(s: NumericalSemigroup) -> PseudoFrobeniusSet:
     maximal under w <= w' iff w' - w is a member.
 
     Everything below an Apery element in that order is an Apery element too,
-    so w is maximal iff no w + g with g a generator other than m is one.
+    so w = Ap[c] is maximal iff no w + g with g a generator other than m is
+    one.  Since Ap[(c + g) mod m] <= w + g always, that is iff the largest
+    Ap[(c + g) mod m] - g over those g stays below w.
     """
     if s.is_naturals:
         raise TrivialSemigroup("the naturals have no gaps, hence no pseudo-Frobenius numbers")
-    m = s.multiplicity
     apery = np.array(s.apery)
-    gens = s.generators[1:]
-    cols = max(1, _BLOCK // m)
-    below = np.zeros(m, dtype=bool)  # w + g is an Apery element for some g != m
-    for i in range(0, len(gens), cols):
-        sums = apery[:, None] + np.array(gens[i : i + cols])
-        below |= (apery[sums % m] == sums).any(axis=1)
-    elements = tuple((np.sort(apery[~below]) - m).tolist())
+    gens = np.array(s.generators[1:])
+    maximal = _fold(apery, gens, -gens, np.maximum) < apery
+    elements = tuple((np.sort(apery[maximal]) - s.multiplicity).tolist())
     return PseudoFrobeniusSet(elements=elements, type=len(elements))

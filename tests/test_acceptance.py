@@ -113,12 +113,12 @@ def test_criterion_4_question_propagation(gluing_suite, lifting_suite):
     for spec, _, outcome in gluing_suite:
         left, right = trace_and_residue(spec.left), trace_and_residue(spec.right)
         if left.question_holds and right.question_holds:
-            direct = outcome.computed.gaps.genus - outcome.computed.gaps.non_gap_count
-            ok &= outcome.computed.trace.residue <= direct
+            gp = gap_profile(glue(spec))
+            ok &= outcome.computed.residue <= gp.genus - gp.non_gap_count
     for base, k, _, outcome in lifting_suite:
         if trace_and_residue(base).question_holds:
-            direct = outcome.computed.gaps.genus - outcome.computed.gaps.non_gap_count
-            ok &= outcome.computed.trace.residue <= direct
+            gp = gap_profile(lift(base, k))
+            ok &= outcome.computed.residue <= gp.genus - gp.non_gap_count
     report(4, ok, "residue <= gap bound propagates through every gluing and lifting in the suites")
 
 
@@ -129,11 +129,11 @@ def test_criterion_5_never_nearly_gorenstein(gluing_suite, lifting_suite):
         r = trace_and_residue(spec.left).residue + trace_and_residue(spec.right).residue
         if r >= 1:
             glue_cases += 1
-            ok &= outcome.computed.trace.residue >= 2
+            ok &= outcome.computed.residue >= 2
     for base, k, _, outcome in lifting_suite:
         if k >= 2 and trace_and_residue(base).residue >= 1:
             lift_cases += 1
-            ok &= outcome.computed.trace.residue >= 2
+            ok &= outcome.computed.residue >= 2
     ok &= glue_cases > 0 and lift_cases > 0
     report(5, ok, f"residue >= 2 on all {glue_cases} eligible gluings and {lift_cases} eligible lifts")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -77,7 +78,7 @@ class TestGluedInvariants:
         assert pred.gap_bound == 7
         outcome = verify_construction(pred, glue(spec))
         assert outcome.verified
-        assert outcome.computed.trace.missing == (0, 20, 30, 40, 50, 60, 80)
+        assert outcome.computed.missing == (0, 20, 30, 40, 50, 60, 80)
 
     def test_gorenstein_factors_glue_to_residue_zero(self):
         spec = GluingSpec(new_semigroup([2, 5]), new_semigroup([3, 4]), lam=7, mu=7)
@@ -145,16 +146,25 @@ class TestLiftedInvariants:
         assert verify_construction(pred, built).verified
 
 
+# one wrong value per predicted field that verify_construction checks
+CORRUPTIONS = {
+    "residue": lambda v: v + 1,
+    "pf": lambda v: v[:-1],
+    "gap_bound": lambda v: v - 1,
+    "frobenius": lambda v: v + 1,
+    "trace_min_gens": lambda v: v + (1000,),
+}
+
+
 class TestVerifyConstruction:
-    def test_corrupted_prediction_flagged(self):
+    @pytest.mark.parametrize("field", list(CORRUPTIONS))
+    def test_corrupted_prediction_flagged(self, field):
         s = new_semigroup([3, 5, 7])
         pred = lifted_invariants(s, 2)
-        import dataclasses
-
-        corrupted = dataclasses.replace(pred, residue=pred.residue + 1)
+        corrupted = dataclasses.replace(pred, **{field: CORRUPTIONS[field](getattr(pred, field))})
         outcome = verify_construction(corrupted, lift(s, 2))
         assert not outcome.verified
-        assert outcome.discrepancies == ("residue",)
+        assert outcome.discrepancies == (field,)
 
 
 class TestArithmeticSemigroup:
@@ -207,16 +217,16 @@ class TestGluingTheoremSuite:
         for spec, pred, outcome in outcomes:
             r1 = trace_and_residue(spec.left).residue
             r2 = trace_and_residue(spec.right).residue
-            assert outcome.computed.trace.residue == spec.mu * r1 + spec.lam * r2
+            assert outcome.computed.residue == spec.mu * r1 + spec.lam * r2
 
     def test_gap_bound_additivity_and_question_propagation(self, outcomes):
         for spec, pred, outcome in outcomes:
             g1, g2 = gap_profile(spec.left), gap_profile(spec.right)
-            direct = outcome.computed.gaps.genus - outcome.computed.gaps.non_gap_count
+            gp = gap_profile(glue(spec))
+            direct = gp.genus - gp.non_gap_count
             assert direct == spec.mu * (g1.genus - g1.non_gap_count) + spec.lam * (g2.genus - g2.non_gap_count)
             if _question_holds(spec.left) and _question_holds(spec.right):
-                built_report = outcome.computed.trace
-                assert built_report.residue <= direct
+                assert outcome.computed.residue <= direct
 
     def test_never_nearly_gorenstein(self, outcomes):
         # factors with any positive residue force the gluing out of the
@@ -226,7 +236,7 @@ class TestGluingTheoremSuite:
             r1 = trace_and_residue(spec.left).residue
             r2 = trace_and_residue(spec.right).residue
             if r1 + r2 >= 1:
-                assert outcome.computed.trace.residue >= 2
+                assert outcome.computed.residue >= 2
 
 
 class TestLiftingTheoremSuite:
@@ -255,17 +265,18 @@ class TestLiftingTheoremSuite:
         for base, k, pred, outcome in outcomes:
             report = trace_and_residue(base)
             gp = gap_profile(base)
-            assert outcome.computed.trace.residue == k * report.residue
-            assert outcome.computed.trace.trace_min_gens == tuple(sorted(k * g for g in report.trace_min_gens))
-            direct_bound = outcome.computed.gaps.genus - outcome.computed.gaps.non_gap_count
+            assert outcome.computed.residue == k * report.residue
+            assert outcome.computed.trace_min_gens == tuple(sorted(k * g for g in report.trace_min_gens))
+            built_gp = gap_profile(lift(base, k))
+            direct_bound = built_gp.genus - built_gp.non_gap_count
             assert direct_bound == k * (gp.genus - gp.non_gap_count)
             if _question_holds(base):
-                assert outcome.computed.trace.residue <= direct_bound
+                assert outcome.computed.residue <= direct_bound
 
     def test_never_nearly_gorenstein(self, outcomes):
         for base, k, pred, outcome in outcomes:
             if k >= 2 and trace_and_residue(base).residue >= 1:
-                assert outcome.computed.trace.residue >= 2
+                assert outcome.computed.residue >= 2
 
 
 def test_lift_composition():

@@ -49,11 +49,12 @@ def test_counterexample_fields_match_oracles(gens, frobenius, residue, bound, la
 def test_lifting_scales_the_violation(gens, frobenius, residue, bound, lam, k):
     base = new_semigroup(gens)
     predicted = lifted_invariants(base, k)
-    outcome = verify_construction(predicted, lift(base, k))
+    built = lift(base, k)
+    outcome = verify_construction(predicted, built)
     assert outcome.verified, outcome.discrepancies
     assert (predicted.residue, predicted.gap_bound) == (k * residue, k * bound)
-    gaps = outcome.computed.gaps
-    assert gaps.genus - gaps.non_gap_count - outcome.computed.trace.residue == -k
+    table = dp_membership(built.generators, built.frobenius)  # [0, F]: gaps, then members below F
+    assert table.count(False) - table.count(True) - outcome.computed.residue == -k
 
 
 @pytest.mark.parametrize("gens, frobenius, residue, bound, lam", COUNTEREXAMPLES, ids=IDS)
@@ -61,8 +62,9 @@ def test_gluing_with_a_symmetric_factor_scales_the_violation(gens, frobenius, re
     mu = 5
     spec = GluingSpec(new_semigroup(gens), new_semigroup([2, 3]), lam, mu)
     predicted = glued_invariants(spec)
-    outcome = verify_construction(predicted, glue(spec))
+    built = glue(spec)
+    outcome = verify_construction(predicted, built)
     assert outcome.verified, outcome.discrepancies
     assert (predicted.residue, predicted.gap_bound) == (mu * residue, mu * bound)
-    gaps = outcome.computed.gaps
-    assert gaps.genus - gaps.non_gap_count - outcome.computed.trace.residue == -mu
+    table = dp_membership(built.generators, built.frobenius)  # [0, F]: gaps, then members below F
+    assert table.count(False) - table.count(True) - outcome.computed.residue == -mu

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 import nsg.cli as cli_mod
 import nsg.semigroup as semigroup_mod
 from nsg.cli import main
+from nsg.constructions import glue, lift
 from nsg.scan import (
     canonical_json,
     hunt,
     info_payload,
     random_gluing_spec,
+    random_lift,
     random_semigroup,
     record_id,
     scan_family,
@@ -100,15 +102,41 @@ class TestScanFamilies:
             assert r["verification"]["verified"] is True
             assert set(r["provenance"]) == {"kind", "parents", "lambda", "mu"}
 
+    def test_construction_provenance_names_the_drawn_instances(self):
+        rng = random.Random(42)
+        specs = [random_gluing_spec(rng, 8) for _ in range(10)]
+        expected = sorted(
+            (list(glue(s).generators), [record_id(s.left.generators), record_id(s.right.generators)], s.lam, s.mu)
+            for s in specs
+        )
+        records = scan_family("gluing", seed=42, limit=10, max_multiplicity=8)
+        got = sorted((r["generators"], *(r["provenance"][key] for key in ("parents", "lambda", "mu"))) for r in records)
+        assert got == expected
+
+        rng = random.Random(42)
+        lifts = [random_lift(rng, 8) for _ in range(10)]
+        expected = sorted((list(lift(base, k).generators), record_id(base.generators), k) for base, k in lifts)
+        records = scan_family("lifting", seed=42, limit=10, max_multiplicity=8)
+        got = sorted((r["generators"], r["provenance"]["parent"], r["provenance"]["k"]) for r in records)
+        assert got == expected
+
     def test_lifting_scan_verifies(self):
         records = scan_family("lifting", seed=42, limit=25, max_multiplicity=10, verify=True)
         assert summarize(records).verification_failures == 0
 
-    def test_worker_pool_output_identical(self, monkeypatch):
-        baseline = scan_family("gluing", seed=5, limit=12, max_multiplicity=8, verify=True)
+    @pytest.mark.parametrize("family", ["random", "arithmetic", "gluing", "lifting"])
+    def test_worker_pool_output_identical(self, monkeypatch, family):
+        # the pooled workers receive pickled semigroups and gluing specs
+        baseline = scan_family(family, seed=5, limit=12, max_multiplicity=8, verify=True)
         monkeypatch.setenv("NSG_THREADS", "3")
-        pooled = scan_family("gluing", seed=5, limit=12, max_multiplicity=8, verify=True)
+        pooled = scan_family(family, seed=5, limit=12, max_multiplicity=8, verify=True)
+        assert len(baseline) == 12
         assert baseline == pooled
+
+    @pytest.mark.parametrize("family", ["random", "arithmetic", "gluing", "lifting"])
+    def test_negative_limit_refused(self, family):
+        with pytest.raises(ValueError):
+            scan_family(family, seed=0, limit=-1, max_multiplicity=5)
 
 
 class TestHunt:
@@ -259,6 +287,14 @@ class TestCli:
             assert result.exit_code == 0
             assert out.read_text() == ""
             assert "0 records" in result.output
+
+    @pytest.mark.parametrize("family", ["arithmetic", "random"])
+    def test_scan_negative_limit_exits_2(self, runner, tmp_path, family):
+        out = tmp_path / "scan.jsonl"
+        result = runner.invoke(main, ["scan", family, "--max-multiplicity", "5", "--limit", "-1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--limit" in result.output
+        assert not out.exists()
 
     def test_scan_limit_defaults_per_family(self, runner, tmp_path):
         # the whole n1 <= 9 grid, not the first 100 of its 101 instances

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsg.errors import EmptyInput, GcdNotOne, TrivialSemigroup
+from nsg.ideals import trace_and_residue
 from nsg.semigroup import gap_profile, new_semigroup, pseudo_frobenius
 
 from oracles import brute_contains, brute_members, brute_pf, dp_membership, selmer_genus, window
@@ -167,8 +168,14 @@ def test_counting_identity(s):
 @settings(max_examples=40, deadline=None)
 @given(semigroups(max_multiplicity=9))
 def test_pf_matches_brute_force(s):
-    assert list(pseudo_frobenius(s).elements) == brute_pf(s.generators, s.frobenius)
+    expected = brute_pf(s.generators, s.frobenius)
+    assert list(pseudo_frobenius(s).elements) == expected
     assert s.frobenius in pseudo_frobenius(s).elements
+    assert trace_and_residue(s).pf == tuple(expected)
+
+
+def test_trace_pf_of_naturals():
+    assert trace_and_residue(new_semigroup([1])).pf == (-1,)
 
 
 @settings(max_examples=40, deadline=None)
