@@ -8,6 +8,7 @@ the direct computation, 4 output I/O failure.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import click
 
@@ -209,6 +210,8 @@ def hunt(max_genus: int, out: str | None) -> None:
         click.echo(f"VIOLATIONS FOUND: {len(findings)}")
         for rec in findings:
             click.echo(canonical_json(rec))
+        per_genus = sorted(Counter(rec["provenance"]["genus"] for rec in findings).items())
+        click.echo("violations per genus: " + ", ".join(f"{g}: {n}" for g, n in per_genus), err=True)
     else:
         click.echo("no violations")
 

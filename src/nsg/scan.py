@@ -182,6 +182,11 @@ def random_semigroup(rng: random.Random, max_multiplicity: int) -> NumericalSemi
 def random_gluing_spec(rng: random.Random, max_multiplicity: int) -> GluingSpec:
     """Seeded valid gluing spec; scalars stay within a small multiple of the
     factor multiplicities to keep the glued semigroup desk-sized."""
+    return _draw_gluing(rng, max_multiplicity)[0]
+
+
+def _draw_gluing(rng: random.Random, max_multiplicity: int) -> tuple[GluingSpec, NumericalSemigroup]:
+    """``random_gluing_spec`` with the gluing it was validated by building."""
     while True:
         left = random_semigroup(rng, max_multiplicity)
         right = random_semigroup(rng, max_multiplicity)
@@ -196,16 +201,13 @@ def random_gluing_spec(rng: random.Random, max_multiplicity: int) -> GluingSpec:
             if right.contains(x) and x not in right.generators
         ]
         for _ in range(16):
-            lam = rng.choice(lam_pool)
-            mu = rng.choice(mu_pool)
-            if math.gcd(lam, mu) != 1:
+            spec = GluingSpec(left, right, rng.choice(lam_pool), rng.choice(mu_pool))
+            if math.gcd(spec.lam, spec.mu) != 1:
                 continue
-            spec = GluingSpec(left, right, lam, mu)
             try:
-                glue(spec)
+                return spec, glue(spec)
             except GluingError:
                 continue
-            return spec
 
 
 def random_lift(rng: random.Random, max_multiplicity: int, max_k: int = 7) -> tuple[NumericalSemigroup, int]:
@@ -227,8 +229,12 @@ def _worker_count() -> int:
     return n
 
 
-def _pmap(fn: Callable, items: list) -> list:
+def _pmap(fn: Callable, items: Iterable) -> list:
+    """``fn`` over ``items`` in order.  A single worker consumes them one at a
+    time, so an instance drawn lazily is freed once its record is built."""
     workers = _worker_count()
+    if workers > 1:
+        items = list(items)
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
@@ -247,8 +253,7 @@ def _arithmetic_worker(args: tuple) -> dict:
 
 
 def _gluing_worker(args: tuple) -> dict:
-    spec, verify, seed = args
-    built = glue(spec)
+    spec, built, verify, seed = args
     provenance = {
         "kind": "gluing",
         "parents": [record_id(spec.left.generators), record_id(spec.right.generators)],
@@ -270,19 +275,19 @@ def scan_family(family: str, seed: int, limit: int | None, max_multiplicity: int
 
     ``limit`` caps the instance count; None means the family default: the
     whole grid for ``arithmetic`` and ``DEFAULT_LIMIT`` draws otherwise.
-    Workers receive the drawn semigroups and specs themselves, not their
-    generators, so no drawn semigroup is rebuilt.
+    Workers receive the drawn semigroups, specs and gluings themselves, not
+    their generators, so no drawn semigroup is rebuilt; with one worker each
+    draw is made just before its record.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"scan limit must be >= 0, got {limit}")
     rng = random.Random(seed)
     count = DEFAULT_LIMIT if limit is None else limit
-    items: list[tuple] = []
     if family == "random":
-        for _ in range(count):
-            items.append((random_semigroup(rng, max_multiplicity), seed))
-        records = _pmap(_random_worker, items)
+        draws = ((random_semigroup(rng, max_multiplicity), seed) for _ in range(count))
+        records = _pmap(_random_worker, draws)
     elif family == "arithmetic":
+        items = []
         for n1 in range(3, max_multiplicity + 1):
             for d in range(1, ARITHMETIC_MAX_D + 1):
                 if math.gcd(n1, d) != 1:
@@ -291,13 +296,11 @@ def scan_family(family: str, seed: int, limit: int | None, max_multiplicity: int
                     items.append((n1, d, e, seed))
         records = _pmap(_arithmetic_worker, items[:limit])
     elif family == "gluing":
-        for _ in range(count):
-            items.append((random_gluing_spec(rng, max_multiplicity), verify, seed))
-        records = _pmap(_gluing_worker, items)
+        draws = ((*_draw_gluing(rng, max_multiplicity), verify, seed) for _ in range(count))
+        records = _pmap(_gluing_worker, draws)
     elif family == "lifting":
-        for _ in range(count):
-            items.append((*random_lift(rng, max_multiplicity), verify, seed))
-        records = _pmap(_lifting_worker, items)
+        draws = ((*random_lift(rng, max_multiplicity), verify, seed) for _ in range(count))
+        records = _pmap(_lifting_worker, draws)
     else:
         raise ValueError(f"unknown family {family!r}")
     _sort_records(records)

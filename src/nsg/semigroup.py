@@ -3,10 +3,11 @@
 A numerical semigroup is a subset of the nonnegative integers closed under
 addition, containing 0, with finite complement.  Each one is stored as its
 Apery set w.r.t. the multiplicity m (the least member of every residue class
-mod m), built from the generators in O(generators * m) integer steps.  The
-Frobenius number, membership, minimality and the pseudo-Frobenius numbers
-all follow from it; boolean membership arrays are materialized on demand,
-one byte per position, for gap lists.
+mod m), built from the generators in O(generators * m) integer steps; the
+same pass picks out the minimal generators.  The Frobenius number,
+membership and the pseudo-Frobenius numbers follow from the Apery set;
+boolean membership arrays are materialized on demand, one byte per position,
+for gap lists.
 """
 
 from __future__ import annotations
@@ -40,18 +41,25 @@ __all__ = [
 ]
 
 
-def _apery_table(gens: Sequence[int]) -> list[int]:
-    """Apery set of <gens> w.r.t. m = gens[0], indexed by residue mod m.
+def _apery_table(gens: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Apery set of <gens> w.r.t. m = gens[0], indexed by residue mod m, and
+    the minimal generators, for sorted distinct ``gens``.
 
     Boecker-Liptak round robin: fold in one generator a at a time; within each
     class mod gcd(a, m), start at the smallest entry found so far and walk
     the cycle r -> r + a (mod m) once, keeping the smaller of the old entry
-    and the predecessor plus a.  O(len(gens) * m) integer steps.
+    and the predecessor plus a.  Before each fold the table is the Apery set
+    of the smaller generators, so a is redundant, and skipped, iff it is
+    already a member of theirs.  O(len(gens) * m) integer steps.
     """
     m = gens[0]
     table = [math.inf] * m
     table[0] = 0
+    minimal = [m]
     for a in gens[1:]:
+        if table[a % m] <= a:
+            continue
+        minimal.append(a)
         d = math.gcd(a, m)
         for r in range(d):
             n = min(table[r::d])
@@ -64,7 +72,7 @@ def _apery_table(gens: Sequence[int]) -> list[int]:
                     n = table[p]
                 else:
                     table[p] = n
-    return table  # gcd 1 leaves no class at infinity
+    return tuple(table), tuple(minimal)  # gcd 1 leaves no class at infinity
 
 
 class NumericalSemigroup:
@@ -72,10 +80,11 @@ class NumericalSemigroup:
 
     ``apery[r]`` is the least member congruent to r mod the multiplicity m,
     so x >= 0 is a member iff x >= apery[x % m]; the Frobenius number, the
-    minimal generators, the pseudo-Frobenius numbers and every membership
-    array derive from it.  Instances are immutable after construction and
-    safe to share between threads.  Construction reduces a non-minimal input
-    generating set and records that this happened in ``was_reduced``.
+    pseudo-Frobenius numbers and every membership array derive from it.
+    Instances are immutable after construction and safe to share between
+    threads.  Construction reduces a non-minimal input generating set, whose
+    redundant members the round robin that builds ``apery`` skips, and
+    records that this happened in ``was_reduced``.
     Inputs whose multiplicity or Frobenius number exceeds ``SIZE_LIMIT`` are
     refused with ``InputTooLarge``.
     """
@@ -96,18 +105,12 @@ class NumericalSemigroup:
         if m > SIZE_LIMIT:
             raise InputTooLarge(f"multiplicity {m} exceeds the size limit {SIZE_LIMIT}")
         self.multiplicity: int = m
-        self.apery: tuple[int, ...] = tuple(_apery_table(gens))
+        self.apery, self.generators = _apery_table(gens)
         self.frobenius: int = max(self.apery) - m
         if self.frobenius > SIZE_LIMIT:
             raise InputTooLarge(f"Frobenius number {self.frobenius} exceeds the size limit {SIZE_LIMIT}")
-
-        # g is redundant iff g - h is a member for a smaller minimal generator h
-        minimal: list[int] = []
-        for g in gens:
-            if not any(self.contains(g - h) for h in minimal):
-                minimal.append(g)
-        self.generators: tuple[int, ...] = tuple(minimal)
-        self.was_reduced: bool = minimal != sorted(raw)
+        # the minimal generators are a subset of the sorted distinct input
+        self.was_reduced: bool = len(self.generators) != len(raw)
 
     @property
     def embedding_dimension(self) -> int:

@@ -1,15 +1,18 @@
 """The two genus-17 counterexamples to residue <= genus - non_gap_count,
-checked field by field against the brute-force oracles, and the verified
-liftings and gluings that carry each one to slack -k and -mu.
+checked field by field against the brute-force oracles, the verified
+liftings and gluings that carry each one to slack -k and -mu, and the
+per-genus count ``nsg hunt`` prints for them.
 
 They are the smallest violations in the genus tree (none at genus 16 or
 below); the paper answers the question only for gluings.
 """
 
 import pytest
+from click.testing import CliRunner
 
+import nsg.cli as cli_mod
 from nsg.constructions import GluingSpec, glue, glued_invariants, lift, lifted_invariants, verify_construction
-from nsg.scan import info_payload
+from nsg.scan import build_record, canonical_json, info_payload
 from nsg.semigroup import new_semigroup
 
 from oracles import brute_pf, brute_trace, dp_membership, window
@@ -68,3 +71,20 @@ def test_gluing_with_a_symmetric_factor_scales_the_violation(gens, frobenius, re
     assert (predicted.residue, predicted.gap_bound) == (mu * residue, mu * bound)
     table = dp_membership(built.generators, built.frobenius)  # [0, F]: gaps, then members below F
     assert table.count(False) - table.count(True) - outcome.computed.residue == -mu
+
+
+def test_hunt_counts_violations_per_genus_on_stderr(monkeypatch):
+    findings = []
+    for gens, *_ in COUNTEREXAMPLES:
+        s = new_semigroup(gens)
+        findings.append(build_record(s, {"kind": "hunt", "genus": 17}, 0, info_payload(s, slack=True)))
+    monkeypatch.setattr(cli_mod, "run_hunt", lambda max_genus: (findings, findings, {-1: 2}))
+    result = CliRunner().invoke(cli_mod.main, ["hunt", "--max-genus", "17"])
+    assert result.exit_code == 0
+    assert result.stderr == "violations per genus: 17: 2\n"
+    assert result.stdout.splitlines() == [
+        "checked 2 semigroups up to genus 17",
+        "slack histogram: -1: 2",
+        "VIOLATIONS FOUND: 2",
+        *(canonical_json(rec) for rec in findings),
+    ]

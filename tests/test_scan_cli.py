@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 
 import nsg.cli as cli_mod
+import nsg.scan as scan_mod
 import nsg.semigroup as semigroup_mod
 from nsg.cli import main
 from nsg.constructions import glue, lift
@@ -119,6 +120,26 @@ class TestScanFamilies:
         records = scan_family("lifting", seed=42, limit=10, max_multiplicity=8)
         got = sorted((r["generators"], r["provenance"]["parent"], r["provenance"]["k"]) for r in records)
         assert got == expected
+
+    def test_gluing_scan_builds_each_gluing_once(self, monkeypatch):
+        events = []
+        gluing_worker = scan_mod._gluing_worker
+
+        def counting_glue(spec):
+            built = glue(spec)
+            events.append("glue")
+            return built
+
+        def counting_worker(args):
+            events.append("record")
+            return gluing_worker(args)
+
+        monkeypatch.setattr(scan_mod, "glue", counting_glue)
+        monkeypatch.setattr(scan_mod, "_gluing_worker", counting_worker)
+        records = scan_family("gluing", seed=42, limit=10, max_multiplicity=8, verify=True)
+        # one build per record, drawn just before it: no drawn gluing waits in a list
+        assert len(records) == 10
+        assert events == ["glue", "record"] * 10
 
     def test_lifting_scan_verifies(self):
         records = scan_family("lifting", seed=42, limit=25, max_multiplicity=10, verify=True)
@@ -316,6 +337,7 @@ class TestCli:
         assert result.exit_code == 0
         assert "checked 1 semigroups" in result.output
         assert "no violations" in result.output
+        assert result.stderr == ""
 
     def test_hunt_writes_records(self, runner, tmp_path):
         out = tmp_path / "hunt.jsonl"

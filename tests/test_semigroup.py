@@ -142,6 +142,21 @@ def test_non_minimal_input_matches_dp_oracle(raw, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.data())
+def test_reduction_matches_brute_force_minimal_generators(raw, data):
+    # padded with repeats and sums as above, then shuffled
+    raw = raw + data.draw(st.lists(st.sampled_from(raw), max_size=3))
+    raw = data.draw(st.permutations(raw + [a + b for a, b in zip(raw, raw[1:])]))
+    assume(math.gcd(*raw) == 1)
+    s = new_semigroup(raw)
+    w = max(raw)  # every minimal generator belongs to every generating set
+    table = dp_membership(raw, w)
+    minimal = [x for x in range(1, w + 1) if table[x] and not any(table[y] and table[x - y] for y in range(1, x))]
+    assert list(s.generators) == minimal
+    assert s.was_reduced == (list(s.generators) != sorted(raw))
+
+
+@settings(max_examples=60, deadline=None)
 @given(semigroups())
 def test_frobenius_and_apery_consistent(s):
     w = window(s.generators)
