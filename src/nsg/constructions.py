@@ -208,12 +208,12 @@ def arithmetic_semigroup(n1: int, d: int, e: int) -> NumericalSemigroup:
     """The semigroup generated by the arithmetic sequence n1, n1+d, ...
 
     Minimal generation forces e <= n1; the gcd condition is on (n1, d).
+    Within those bounds the whole sequence is minimal: k >= 2 terms
+    n1 + j*d summing to n1 + i*d would need (k - 1)*n1 = (i - J)*d, J the
+    sum of their j, so n1 would divide 0 < i - J <= e - 1 < n1.
     """
     if math.gcd(n1, d) != 1:
         raise GcdViolation(f"gcd({n1}, {d}) != 1")
     if n1 < 2 or d < 1 or e < 2 or e > n1:
         raise NonMinimalSequence(f"need n1 >= 2, d >= 1, 2 <= e <= n1; got n1={n1}, d={d}, e={e}")
-    built = new_semigroup([n1 + i * d for i in range(e)])
-    if built.was_reduced:
-        raise NonMinimalSequence(f"arithmetic sequence n1={n1}, d={d}, e={e} is not minimal")
-    return built
+    return new_semigroup([n1 + i * d for i in range(e)])

@@ -4,7 +4,11 @@ Everything is a pure-difference binomial (coefficients +1/-1), so S-pairs
 and reductions collapse to integer lattice operations on exponent tuples,
 done in plain Python ints.  ``buchberger`` prunes S-pairs with the
 Gebauer-Moeller criteria before reducing them and takes the survivors in
-increasing degree for a grading given by the caller.  The defining ideal of
+increasing degree for a grading given by the caller.  A monomial's support
+is kept as an int bitmask (``_mask``); since a monomial can divide another
+only when its support is contained in the other's, the reducer and the
+pair update index their leads and lcms by that mask and test exponents
+only where the masks allow a divisor.  The defining ideal of
 a semigroup is computed by eliminating the parameter variable from the
 graph ideal of the monomial map, which is homogeneous for the weights
 (1, n_1, ..., n_e): under that grading the pairs come in semigroup-degree
@@ -16,6 +20,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import EmbeddingDimensionTooSmall
@@ -43,7 +48,7 @@ Monomial = tuple[int, ...]
 
 def _drl_key(m: Sequence[int]) -> tuple:
     # ties break by the latest variable: a larger exponent there sorts lower
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(operator.neg, reversed(m))))
 
 
 @dataclass(frozen=True)
@@ -112,44 +117,65 @@ def _oriented(a: Monomial, b: Monomial, order: MonomialOrder) -> Binomial | None
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    # faster than tuple(map(max, a, b)), whose max() call parses its
+    # arguments generically for every variable
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 def _divides(small: Monomial, big: Monomial) -> bool:
-    for s, b in zip(small, big):
-        if s > b:
-            return False
-    return True
+    return all(map(operator.le, small, big))
+
+
+def _mask(m: Monomial) -> int:
+    # one byte per variable, nonzero where the exponent is: the support of a
+    # lies inside the support of b exactly when _mask(a) & ~_mask(b) == 0
+    return int.from_bytes(bytes(map(bool, m)), "little")
+
+
+def _rewrite(m: Monomial, lead: Monomial, tail: Monomial) -> Monomial:
+    return tuple(map(operator.add, map(operator.sub, m, lead), tail))
 
 
 class _Reducer:
-    """Rewriting system over a growing list of oriented binomials.
+    """Rewriting system over a growing set of oriented binomials.
 
-    Leads and tails are plain int tuples; each rewrite step uses the first
-    lead in insertion order that divides the monomial.
+    Leads and tails are plain int tuples, bucketed by the support mask of
+    the lead.  A lead divides a monomial only when its support lies inside
+    the monomial's, so each monomial support seen keeps the list of buckets
+    it contains, and a rewrite step uses the first dividing lead in those
+    buckets.  A lead joins its bucket and so reaches every support already
+    seen that contains its own; a bucket made later joins those supports.
     """
 
-    __slots__ = ("leads", "tails")
+    __slots__ = ("buckets", "by_support")
 
     def __init__(self, elements: Iterable[Binomial] = ()):
-        self.leads: list[Monomial] = []
-        self.tails: list[Monomial] = []
+        self.buckets: dict[int, list[tuple[Monomial, Monomial]]] = {}
+        self.by_support: dict[int, list[list[tuple[Monomial, Monomial]]]] = {}
         for b in elements:
             self.add(b)
 
     def add(self, b: Binomial) -> None:
-        self.leads.append(b.plus)
-        self.tails.append(b.minus)
+        mask = _mask(b.plus)
+        bucket = self.buckets.get(mask)
+        if bucket is None:
+            bucket = self.buckets[mask] = []
+            for support, buckets in self.by_support.items():
+                if not mask & ~support:
+                    buckets.append(bucket)
+        bucket.append((b.plus, b.minus))
 
     def reduce(self, m: Monomial) -> Monomial:
-        leads, tails = self.leads, self.tails
+        by_support = self.by_support
         while True:
-            for lead, tail in zip(leads, tails):
-                for a, x in zip(lead, m):
-                    if a > x:
-                        break
-                else:
-                    m = tuple(x - a + t for x, a, t in zip(m, lead, tail))
+            support = _mask(m)
+            buckets = by_support.get(support)
+            if buckets is None:
+                buckets = [bucket for mask, bucket in self.buckets.items() if not mask & ~support]
+                by_support[support] = buckets
+            for lead, tail in chain.from_iterable(buckets):
+                if all(map(operator.le, lead, m)):
+                    m = _rewrite(m, lead, tail)
                     break
             else:
                 return m
@@ -193,75 +219,93 @@ def buchberger(
       that lcm has coprime leads (its S-pair reduces to zero).
 
     Older elements whose lead lead(h) divides then form no new pairs, but
-    stay in the reducer.
+    stay in the reducer.  The queued pairs are bucketed by the support mask
+    of their lcm, so B visits only the buckets whose mask contains lead(h)'s;
+    M and the drop of divided leads compare masks before exponents, and two
+    leads are coprime exactly when their masks are disjoint.
     """
     weights = (1,) * len(order.variables) if grading is None else tuple(grading)
     if len(weights) != len(order.variables) or any(w < 1 for w in weights):
         raise ValueError(f"grading needs a positive weight per variable of {order.variables}, got {grading}")
     basis: list[Binomial] = []
-    live: list[bool] = []  # may still form new pairs
-    pairs: dict[tuple[int, int], Monomial] = {}
-    heap: list[tuple[int, int, int]] = []
+    masks: list[int] = []  # support mask of each lead
+    live: list[int] = []  # the elements that may still form new pairs
+    # the queued pairs by the support mask of their lcm: mask -> {(i, j): lcm}
+    pairs: dict[int, dict[tuple[int, int], Monomial]] = {}
+    heap: list[tuple[int, int, int, int]] = []
     reducer = _Reducer()
 
     def push(h: Binomial) -> None:
+        nonlocal live
         j = len(basis)
         lead = h.plus
-        with_h = [_lcm(b.plus, lead) for b in basis]
-        for (i, k), lcm in list(pairs.items()):
-            if _divides(lead, lcm) and with_h[i] != lcm and with_h[k] != lcm:
-                del pairs[i, k]  # B
-        # lcm -> (first i, whether any pair with this lcm has coprime leads)
-        classes: dict[Monomial, tuple[int, bool]] = {}
-        deg_h = sum(lead)
-        for i, b in enumerate(basis):
-            if live[i]:
-                lcm = with_h[i]
-                first, coprime = classes.get(lcm, (i, False))
-                classes[lcm] = (first, coprime or sum(lcm) == sum(b.plus) + deg_h)
+        mask = _mask(lead)
+        # lead(h) divides only lcms whose support contains its own
+        for support, bucket in pairs.items():
+            if mask & ~support:
+                continue
+            chained = [
+                (i, k)
+                for (i, k), lcm in bucket.items()
+                if _divides(lead, lcm) and _lcm(basis[i].plus, lead) != lcm and _lcm(basis[k].plus, lead) != lcm
+            ]
+            for key in chained:
+                del bucket[key]  # B
+        # lcm -> (first i, its support); lcms of a pair with coprime leads
+        classes: dict[Monomial, tuple[int, int]] = {}
+        coprime: set[Monomial] = set()
+        for i in live:
+            lcm = _lcm(basis[i].plus, lead)
+            if lcm not in classes:
+                classes[lcm] = (i, masks[i] | mask)
+            if not masks[i] & mask:
+                coprime.add(lcm)
         # the lcms are distinct, so a divisor among the smaller-degree
         # survivors is a proper divisor, and survivors suffice by transitivity
-        minimal: list[Monomial] = []
+        minimal: list[tuple[int, Monomial]] = []
         for lcm in sorted(classes, key=sum):
-            if any(_divides(m, lcm) for m in minimal):
-                continue  # M
-            minimal.append(lcm)
-            i, coprime = classes[lcm]
-            if not coprime:  # F
-                pairs[i, j] = lcm
-                heapq.heappush(heap, (sum(map(operator.mul, weights, lcm)), i, j))
-        for i, b in enumerate(basis):
-            if live[i] and _divides(lead, b.plus):
-                live[i] = False
+            i, support = classes[lcm]
+            for m, m_lcm in minimal:
+                if not m & ~support and _divides(m_lcm, lcm):
+                    break  # M
+            else:
+                minimal.append((support, lcm))
+                if lcm not in coprime:  # F
+                    pairs.setdefault(support, {})[i, j] = lcm
+                    heapq.heappush(heap, (sum(map(operator.mul, weights, lcm)), i, j, support))
+        live = [i for i in live if mask & ~masks[i] or not _divides(lead, basis[i].plus)]
+        live.append(j)
         basis.append(h)
-        live.append(True)
+        masks.append(mask)
         reducer.add(h)
 
     for g in gens:
         b = _oriented(g.plus, g.minus, order)
         if b is not None:
             push(b)
+    inputs = len(basis)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
-        lcm = pairs.pop((i, j), None)
+        _, i, j, support = heapq.heappop(heap)
+        lcm = pairs[support].pop((i, j), None)
         if lcm is None:
             continue  # dropped by B after it was queued
         f, g = basis[i], basis[j]
-        left = reducer.reduce(tuple(c - a + m for c, a, m in zip(lcm, f.plus, f.minus)))
-        right = reducer.reduce(tuple(c - b + m for c, b, m in zip(lcm, g.plus, g.minus)))
+        left = reducer.reduce(_rewrite(lcm, f.plus, f.minus))
+        right = reducer.reduce(_rewrite(lcm, g.plus, g.minus))
         # both sides are fully reduced, so a new element never repeats an old one
         b = _oriented(left, right, order)
         if b is not None:
             push(b)
 
-    # minimalize: drop elements whose lead is divisible by another kept lead
-    by_lead = sorted(range(len(basis)), key=lambda i: order.key(basis[i].plus))
-    kept: list[Binomial] = []
-    for i in by_lead:
-        lead = basis[i].plus
-        if not any(_divides(k.plus, lead) for k in kept):
-            kept.append(basis[i])
+    # minimalize: a later lead divides the lead of every element that is not
+    # live, and an element made from an S-pair has a lead no earlier lead
+    # divides, so only a live input can have its lead divided by another
+    kept = [
+        basis[i]
+        for i in sorted(live, key=lambda i: order.key(basis[i].plus))
+        if i >= inputs or not any(k != i and _divides(basis[k].plus, basis[i].plus) for k in live)
+    ]
 
     # interreduce tails against the kept leads
     final = _Reducer(kept)
@@ -291,8 +335,8 @@ def is_groebner(gb: GroebnerBasis) -> bool:
         for j in range(i + 1, n):
             f, g = gb.elements[i], gb.elements[j]
             lcm = _lcm(f.plus, g.plus)
-            left = red.reduce(tuple(c - a + m for c, a, m in zip(lcm, f.plus, f.minus)))
-            right = red.reduce(tuple(c - b + m for c, b, m in zip(lcm, g.plus, g.minus)))
+            left = red.reduce(_rewrite(lcm, f.plus, f.minus))
+            right = red.reduce(_rewrite(lcm, g.plus, g.minus))
             if left != right:
                 return False
     return True

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nsg.constructions import (
     GluingSpec,
@@ -25,6 +27,8 @@ from nsg.errors import (
 from nsg.ideals import trace_and_residue
 from nsg.scan import random_gluing_spec, random_lift
 from nsg.semigroup import gap_profile, new_semigroup
+
+from oracles import dp_membership
 
 
 class TestGlue:
@@ -184,6 +188,19 @@ class TestArithmeticSemigroup:
             arithmetic_semigroup(3, 1, 4)
         with pytest.raises(NonMinimalSequence):
             arithmetic_semigroup(5, 1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30), st.integers(1, 30), st.data())
+    def test_whole_sequence_is_minimal(self, n1, d, data):
+        # every coprime sequence within 2 <= e <= n1 builds, keeps all its
+        # terms, and no term is a sum of two nonzero members
+        assume(math.gcd(n1, d) == 1)
+        e = data.draw(st.integers(2, n1))
+        sequence = [n1 + i * d for i in range(e)]
+        assert arithmetic_semigroup(n1, d, e).generators == tuple(sequence)
+        member = dp_membership(sequence, sequence[-1])
+        for g in sequence:
+            assert not any(member[x] and member[g - x] for x in range(1, g)), (n1, d, e, g)
 
 
 def _question_holds(s):

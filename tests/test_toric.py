@@ -12,6 +12,7 @@ from nsg.errors import EmbeddingDimensionTooSmall
 from nsg.semigroup import new_semigroup
 from nsg.toric import (
     Binomial,
+    _Reducer,
     _graph_ideal,
     acm_and_hypothesis,
     buchberger,
@@ -267,8 +268,10 @@ def test_groebner_bases_pass_spair_criterion():
         (range(3, 9), 73, "036cc58b97083eeb8ee1afef90993603cec286a3c07182dd70b68f657e42afa8"),
         # the rest of criterion 8's grid, recorded with standard-degree pair selection
         (range(9, 13), 109, "daca4c79c2deed4267f337e2483a59af74e7048b4243a2abe4e098611ee123cb"),
+        # recorded with a reducer that scanned every lead in insertion order
+        (range(13, 14), 55, "653f73b78fded9c803a2f3640ab9bf6dd1904ba6eb1d6b9016a4229bcf634066"),
     ],
-    ids=["n1_3_8", "n1_9_12"],
+    ids=["n1_3_8", "n1_9_12", "n1_13"],
 )
 def test_small_arithmetic_grid_bases_pinned(n1_range, count, digest):
     # reduced bases are unique, so no pair-pruning or pair-selection rule
@@ -322,9 +325,7 @@ def test_grading_needs_positive_weight_per_variable():
             buchberger(gens, order, grading=bad)
 
 
-@settings(max_examples=40, deadline=None)
-@given(semigroups(max_multiplicity=6, max_extra=3))
-def test_normal_form_is_smallest_fiber_member(s):
+def _assert_fibers_meet_at_smallest(s):
     # a complete basis sends every monomial of one weighted degree to the
     # same normal form, the degrevlex-least monomial of that degree
     gb = reduced_gb(s)
@@ -334,3 +335,37 @@ def test_normal_form_is_smallest_fiber_member(s):
             continue
         smallest = min(fiber, key=gb.order.key)
         assert {normal_form(m, gb) for m in fiber} == {smallest}, (s.generators, value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(semigroups(max_multiplicity=6, max_extra=3))
+def test_normal_form_is_smallest_fiber_member(s):
+    _assert_fibers_meet_at_smallest(s)
+
+
+@pytest.mark.parametrize("gens", [(7, 9, 11, 13, 15, 17, 19), (8, 9, 10, 11, 12, 13, 14, 15)])
+def test_normal_form_is_smallest_fiber_member_wide(gens):
+    # embedding dimension 7 and 8: many more lead supports than above
+    _assert_fibers_meet_at_smallest(new_semigroup(gens))
+
+
+class TestReducer:
+    # over <3, 4, 5>: every rule below is balanced for the weights (3, 4, 5)
+
+    def test_lead_with_new_support_reaches_seen_support(self):
+        red = _Reducer([Binomial((0, 2, 0), (1, 0, 1))])
+        assert red.reduce((2, 1, 1)) == (2, 1, 1)
+        red.add(Binomial((2, 1, 0), (0, 0, 2)))
+        # same support as the monomial reduced before the lead was added
+        assert red.reduce((3, 1, 1)) == (1, 0, 3)
+
+    def test_lead_with_seen_support_reaches_seen_support(self):
+        red = _Reducer([Binomial((2, 1, 0), (0, 0, 2))])
+        assert red.reduce((1, 3, 1)) == (1, 3, 1)
+        red.add(Binomial((1, 3, 0), (0, 0, 3)))
+        assert red.reduce((1, 4, 1)) == (0, 1, 4)
+
+    def test_rewrites_until_no_lead_divides(self):
+        red = _Reducer([Binomial((3, 0, 0), (0, 1, 1)), Binomial((0, 2, 0), (1, 0, 1))])
+        # x1^3 x2 -> x2^2 x3 -> x1 x3^2
+        assert red.reduce((3, 1, 0)) == (1, 0, 2)
