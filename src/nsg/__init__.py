@@ -24,6 +24,7 @@ from .ideals import (
     canonical_ideal,
     dual_ideal,
     gap_bound_check,
+    generated_ideal,
     ideal_sum,
     minimal_generators,
     trace_and_residue,
@@ -62,6 +63,7 @@ __all__ = [
     "RelativeIdeal",
     "TraceReport",
     "GapBoundCheck",
+    "generated_ideal",
     "canonical_ideal",
     "dual_ideal",
     "ideal_sum",

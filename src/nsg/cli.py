@@ -153,7 +153,7 @@ def toric(generators: str, as_json: bool) -> None:
     s = _parse_generators(generators)
     try:
         report = acm_and_hypothesis(s)
-        verdict = ClosureVerdict.from_report(report, trace_and_residue(s).nearly_gorenstein)
+        verdict = ClosureVerdict(report.acm, report.hypothesis, trace_and_residue(s).nearly_gorenstein)
     except NsgError as exc:
         raise click.UsageError(str(exc))
     if as_json:

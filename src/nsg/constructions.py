@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     GcdViolation,
     LambdaIsGenerator,
@@ -23,7 +21,7 @@ from .errors import (
     NonMinimalSequence,
     ScaledSetsIntersect,
 )
-from .ideals import RelativeIdeal, TraceReport, _from_class_mins, _min_gens, _sum, trace_and_residue
+from .ideals import RelativeIdeal, TraceReport, generated_ideal, minimal_generators, trace_and_residue
 from .semigroup import NumericalSemigroup, new_semigroup
 
 __all__ = [
@@ -109,36 +107,26 @@ def glue(spec: GluingSpec) -> NumericalSemigroup:
     return built
 
 
-def _predicted_glued_trace(
-    spec: GluingSpec, built: NumericalSemigroup, left_gens: tuple[int, ...], right_gens: tuple[int, ...]
-) -> np.ndarray:
-    """Class-minimum vector of {mu*a + lam*b : a in tl, b in tr}, where tl
-    and tr are the traces of the left and right factors with the given
-    minimal generators.
-
-    The set is mu*gens(tl) + lam*gens(tr) + S for the gluing S, so it takes
-    two sums over the gluing's Apery vector: first the ideal Y generated by
-    lam*gens(tr), then the union of mu*a + Y over a in gens(tl).
-    """
-    y = _sum(spec.lam * np.array(right_gens), np.array(built.apery))
-    return _sum(spec.mu * np.array(left_gens), y)
-
-
 def _glued_invariants(spec: GluingSpec, built: NumericalSemigroup) -> PredictedInvariants:
-    """``glued_invariants`` for a gluing already built by ``glue(spec)``."""
+    """``glued_invariants`` for a gluing already built by ``glue(spec)``.
+
+    The predicted trace is {mu*a + lam*b : a in tl, b in tr}, tl and tr the
+    traces of the left and right factors: the ideal of the gluing generated
+    by mu*a + lam*b over the minimal generators a of tl and b of tr.
+    """
     lam, mu = spec.lam, spec.mu
     f1, f2 = spec.left.frobenius, spec.right.frobenius
     rep1, rep2 = trace_and_residue(spec.left), trace_and_residue(spec.right)
     pf = tuple(sorted({mu * g + lam * h + mu * lam for g in rep1.pf for h in rep2.pf}))
-    trace = _predicted_glued_trace(spec, built, rep1.trace_min_gens, rep2.trace_min_gens)
+    trace = generated_ideal(built, [mu * a + lam * b for a in rep1.trace_min_gens for b in rep2.trace_min_gens])
     return PredictedInvariants(
         frobenius=mu * f1 + lam * f2 + mu * lam,
         pf=pf,
-        trace_min_gens=tuple(_min_gens(trace, built.generators).tolist()),
+        trace_min_gens=minimal_generators(trace),
         residue=mu * rep1.residue + lam * rep2.residue,
         gap_bound=mu * rep1.gap_bound + lam * rep2.gap_bound,
         provenance="gluing",
-        trace_set=_from_class_mins(built, trace),
+        trace_set=trace,
     )
 
 
@@ -155,13 +143,15 @@ def _check_lift(s: NumericalSemigroup, k: int) -> None:
 
 
 def lift(s: NumericalSemigroup, k: int) -> NumericalSemigroup:
-    """Scale every generator except the multiplicity by k."""
+    """Scale every generator except the multiplicity n1 by k.
+
+    The scaled set is always minimal.  n1 is below every k * n_j.  And if
+    k * n_i = a * n1 + k * (sum of b_j * n_j over the other j), then k
+    divides a * n1 and, being coprime to n1, divides a; dividing by k writes
+    n_i from the other generators, against its minimality in s.
+    """
     _check_lift(s, k)
-    lifted = [s.multiplicity] + [k * g for g in s.generators[1:]]
-    built = new_semigroup(lifted)
-    if built.was_reduced:
-        raise AssertionError(f"lifted generators {lifted} unexpectedly reduced")
-    return built
+    return new_semigroup([s.multiplicity] + [k * g for g in s.generators[1:]])
 
 
 def lifted_invariants(s: NumericalSemigroup, k: int) -> PredictedInvariants:

@@ -3,10 +3,13 @@
 A relative ideal I over S is a bounded-below set of integers with I + S
 contained in I.  The multiplicity m is a member of S, so I meets each residue
 class c mod m in the progression x[c], x[c] + m, x[c] + 2m, ...: the ideal is
-determined by its class-minimum vector x, an int64 array of length m (the
-Apery set of S is the class-minimum vector of S itself).  Every operation
-here works on such vectors, at O(generators * m) cost whatever F is:
+determined by its class-minimum vector x of length m (the Apery set of S is
+the class-minimum vector of S itself).  ``RelativeIdeal`` stores exactly that
+vector, and every operation here reads and writes it, at O(generators * m)
+cost whatever F is:
 
+- the ideal generated by a_1, ..., a_k: x[c] = min over i of
+  a_i + Ap[(c - a_i) mod m];
 - canonical ideal: k[c] = F + m - Ap[(F - c) mod m];
 - minimal generators: the x[c] with x[c] - g < x[(c - g) mod m] for every
   generator g != m;
@@ -14,13 +17,14 @@ here works on such vectors, at O(generators * m) cost whatever F is:
 - Minkowski sum I + J: s[c] = min over generators a of I of
   a + J[(c - a) mod m].
 
-The public form ``RelativeIdeal`` (a finite head plus a conductor from which
-everything belongs to the ideal) is read and built only at the API boundary.
+The head (the elements below the conductor), an O(F) list, is computed
+only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
     "RelativeIdeal",
     "TraceReport",
     "GapBoundCheck",
+    "generated_ideal",
     "canonical_ideal",
     "dual_ideal",
     "ideal_sum",
@@ -39,53 +44,41 @@ __all__ = [
     "gap_bound_check",
 ]
 
+
 @dataclass(frozen=True)
 class RelativeIdeal:
-    """Canonical head/conductor form of a relative ideal.
+    """A relative ideal, stored as its class-minimum vector.
 
-    ``head`` holds exactly the elements below ``conductor``; the interval
-    [conductor, infinity) is contained wholesale, and conductor - 1 is not
-    in the ideal (when the head is empty the conductor is the minimum).
+    ``mins[c]`` is the least element congruent to c mod the multiplicity m of
+    ``ambient``, so x is in the ideal iff x >= mins[x % m].  The conductor
+    (everything from it on is in the ideal, the element before it is not)
+    and the head (the elements below the conductor) are derived on demand.
     """
 
     ambient: NumericalSemigroup
-    head: tuple[int, ...]
-    conductor: int
+    mins: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        m = self.ambient.multiplicity
+        if len(self.mins) != m:
+            raise ValueError(f"need one class minimum per residue mod {m}, got {len(self.mins)}")
+
+    @property
+    def conductor(self) -> int:
+        return max(self.mins) - len(self.mins) + 1
+
+    @property
+    def head(self) -> tuple[int, ...]:
+        x = np.array(self.mins)
+        v = np.arange(int(x.min()), self.conductor)
+        return tuple(v[v >= x[v % len(x)]].tolist())
 
     def contains(self, x: int) -> bool:
-        return x >= self.conductor or x in self.head
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RelativeIdeal)
-            and self.ambient.generators == other.ambient.generators
-            and self.head == other.head
-            and self.conductor == other.conductor
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient.generators, self.head, self.conductor))
-
-    def __repr__(self) -> str:
-        return f"RelativeIdeal(head={list(self.head)}, tail>={self.conductor})"
+        return x >= self.mins[x % len(self.mins)]
 
 
-def _class_mins(ideal: RelativeIdeal, m: int) -> np.ndarray:
-    """Least element of the ideal in each residue class mod m: the tail
-    [conductor, conductor + m) lowered by the head."""
-    x = ideal.conductor + (np.arange(m) - ideal.conductor) % m
-    head = np.array(ideal.head, dtype=np.int64)
-    np.minimum.at(x, head % m, head)
-    return x
-
-
-def _from_class_mins(ambient: NumericalSemigroup, x: np.ndarray) -> RelativeIdeal:
-    """Head/conductor form of the ideal with class-minimum vector x; the
-    largest non-element is max(x) - m."""
-    m = len(x)
-    conductor = int(x.max()) - m + 1
-    v = np.arange(int(x.min()), conductor)
-    return RelativeIdeal(ambient, tuple(v[v >= x[v % m]].tolist()), conductor)
+def _ideal(s: NumericalSemigroup, x: np.ndarray) -> RelativeIdeal:
+    return RelativeIdeal(s, tuple(x.tolist()))
 
 
 def _min_gens(x: np.ndarray, generators: tuple[int, ...]) -> np.ndarray:
@@ -137,6 +130,15 @@ class GapBoundCheck:
     slack: int
 
 
+def generated_ideal(s: NumericalSemigroup, elements: Iterable[int]) -> RelativeIdeal:
+    """The relative ideal elements + S: its class minima are the least
+    a + Ap[(c - a) mod m] over the given elements a."""
+    gens = np.array(list(elements), dtype=np.int64)
+    if not len(gens):
+        raise ValueError("a relative ideal needs at least one generating element")
+    return _ideal(s, _sum(gens, np.array(s.apery)))
+
+
 def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
     """The canonical ideal normalized to start at 0: all z with F - z a gap.
 
@@ -148,7 +150,7 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
         raise TrivialSemigroup("the naturals are their own canonical ideal; no gaps to reflect")
     m, f = s.multiplicity, s.frobenius
     # z is in K iff F - z is a gap, iff z > F - Ap[(F - z) mod m]
-    return _from_class_mins(s, f + m - np.array(s.apery)[(f - np.arange(m)) % m])
+    return _ideal(s, f + m - np.array(s.apery)[(f - np.arange(m)) % m])
 
 
 def dual_ideal(s: NumericalSemigroup, ideal: RelativeIdeal) -> RelativeIdeal:
@@ -158,8 +160,10 @@ def dual_ideal(s: NumericalSemigroup, ideal: RelativeIdeal) -> RelativeIdeal:
     those only the minimal generators a: d[c] is the largest value of
     Ap[(c + a) mod m] - a over them, O(generators * m).
     """
-    gens = _min_gens(_class_mins(ideal, s.multiplicity), s.generators)
-    return _from_class_mins(s, _dual(np.array(s.apery), gens))
+    if ideal.ambient.generators != s.generators:
+        raise AmbientMismatch(f"cannot dualize an ideal over {ideal.ambient.generators} in {s.generators}")
+    gens = _min_gens(np.array(ideal.mins), s.generators)
+    return _ideal(s, _dual(np.array(s.apery), gens))
 
 
 def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
@@ -173,9 +177,8 @@ def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
             f"cannot add ideals over {left.ambient.generators} and {right.ambient.generators}"
         )
     s = left.ambient
-    m = s.multiplicity
-    gens = _min_gens(_class_mins(left, m), s.generators)
-    return _from_class_mins(s, _sum(gens, _class_mins(right, m)))
+    gens = _min_gens(np.array(left.mins), s.generators)
+    return _ideal(s, _sum(gens, np.array(right.mins)))
 
 
 def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
@@ -186,8 +189,7 @@ def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
     composite member s implies reaching it from x - g for a generator g by
     stability.
     """
-    s = ideal.ambient
-    return tuple(_min_gens(_class_mins(ideal, s.multiplicity), s.generators).tolist())
+    return tuple(_min_gens(np.array(ideal.mins), ideal.ambient.generators).tolist())
 
 
 def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
@@ -218,7 +220,7 @@ def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
         )
     bound = 2 * genus - f - 1  # genus minus the f + 1 - genus members below F
     return TraceReport(
-        trace=_from_class_mins(s, trace),
+        trace=_ideal(s, trace),
         trace_min_gens=tuple(_min_gens(trace, s.generators).tolist()),
         pf=pf,
         residue=residue,

@@ -115,8 +115,8 @@ def info_payload(
     if slack:
         payload["slack"] = report.gap_bound - report.residue
     if toric:
-        verdict = ClosureVerdict.from_report(acm_and_hypothesis(s), report.nearly_gorenstein)
-        payload["closure"] = verdict.to_json()
+        closure = acm_and_hypothesis(s)
+        payload["closure"] = ClosureVerdict(closure.acm, closure.hypothesis, report.nearly_gorenstein).to_json()
     return payload
 
 
@@ -202,8 +202,6 @@ def _draw_gluing(rng: random.Random, max_multiplicity: int) -> tuple[GluingSpec,
         ]
         for _ in range(16):
             spec = GluingSpec(left, right, rng.choice(lam_pool), rng.choice(mu_pool))
-            if math.gcd(spec.lam, spec.mu) != 1:
-                continue
             try:
                 return spec, glue(spec)
             except GluingError:

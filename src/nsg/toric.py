@@ -456,29 +456,23 @@ class AcmHypothesisReport:
 class ClosureVerdict:
     """Transfer of the nearly-Gorenstein property to the projective closure.
 
-    ``projective_ng`` is present exactly when the transfer criterion applies
-    (the curve passes the leading-monomial Cohen-Macaulay test and the last
-    variable meets every non-homogeneous basis element).
+    The transfer criterion is ``applicable`` when the curve passes the
+    leading-monomial Cohen-Macaulay test and the last variable meets every
+    non-homogeneous basis element; ``projective_ng`` is the affine flag
+    then, and None otherwise.
     """
 
     acm: bool
     hypothesis: bool
-    applicable: bool
     affine_ng: bool
-    projective_ng: bool | None
 
-    @classmethod
-    def from_report(cls, report: AcmHypothesisReport, affine_ng: bool) -> ClosureVerdict:
-        """The verdict from a finished toric report and the affine
-        nearly-Gorenstein flag, for callers that already hold both."""
-        applicable = report.acm and report.hypothesis
-        return cls(
-            acm=report.acm,
-            hypothesis=report.hypothesis,
-            applicable=applicable,
-            affine_ng=affine_ng,
-            projective_ng=affine_ng if applicable else None,
-        )
+    @property
+    def applicable(self) -> bool:
+        return self.acm and self.hypothesis
+
+    @property
+    def projective_ng(self) -> bool | None:
+        return self.affine_ng if self.applicable else None
 
     def to_json(self) -> dict:
         payload = {
@@ -512,4 +506,4 @@ def acm_and_hypothesis(s: NumericalSemigroup) -> AcmHypothesisReport:
 def projective_ng_verdict(s: NumericalSemigroup) -> ClosureVerdict:
     """Combine the transfer criterion with the affine residue computation."""
     report = acm_and_hypothesis(s)
-    return ClosureVerdict.from_report(report, trace_and_residue(s).nearly_gorenstein)
+    return ClosureVerdict(report.acm, report.hypothesis, trace_and_residue(s).nearly_gorenstein)

@@ -1,7 +1,9 @@
-"""The public surface: every exported name exists, and every function the
+"""The public surface: every exported name exists, every function the
 benchmark's spans wrap is still a function of its module, so a deletion
-that would break ``pytest bench`` fails here too."""
+that would break ``pytest bench`` fails here too, and no other module
+reaches into the private helpers of ``nsg.ideals``."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -30,3 +32,15 @@ def test_benchmark_spans_wrap_existing_functions():
         if not inspect.isfunction(getattr(importlib.import_module(f"nsg.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_no_module_imports_private_ideals_names():
+    # the class-minimum helpers of nsg.ideals stay behind its public API
+    leaks = []
+    for path in sorted(Path(nsg.__file__).parent.glob("*.py")):
+        if path.name == "ideals.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("ideals", "nsg.ideals"):
+                leaks += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert leaks == []

@@ -24,11 +24,12 @@ from nsg.errors import (
     NonMinimalSequence,
     ScaledSetsIntersect,
 )
-from nsg.ideals import trace_and_residue
+from nsg.ideals import generated_ideal, trace_and_residue
 from nsg.scan import random_gluing_spec, random_lift
 from nsg.semigroup import gap_profile, new_semigroup
 
 from oracles import dp_membership
+from strategies import semigroups
 
 
 class TestGlue:
@@ -121,6 +122,17 @@ class TestLift:
     def test_lift_of_naturals(self):
         assert lift(new_semigroup([1]), 5).is_naturals
 
+    @settings(max_examples=60, deadline=None)
+    @given(semigroups(max_multiplicity=10), st.integers(1, 6))
+    def test_every_scaled_generator_stays_minimal(self, s, k):
+        assume(math.gcd(k, s.multiplicity) == 1)
+        built = lift(s, k)
+        expected = (s.multiplicity,) + tuple(k * g for g in s.generators[1:])
+        assert built.generators == expected and not built.was_reduced
+        member = dp_membership(expected, expected[-1])
+        for g in expected:
+            assert not any(member[x] and member[g - x] for x in range(1, g)), (s.generators, k, g)
+
 
 class TestLiftedInvariants:
     def test_fixed_instance(self):
@@ -169,6 +181,17 @@ class TestVerifyConstruction:
         outcome = verify_construction(corrupted, lift(s, 2))
         assert not outcome.verified
         assert outcome.discrepancies == (field,)
+
+    def test_corrupted_gluing_trace_set_flagged(self):
+        # the built multiplicity 20 is missing from the true trace; adding
+        # it changes the predicted set but not the predicted generators
+        spec = GluingSpec(new_semigroup([3, 5, 7]), new_semigroup([2, 3]), lam=10, mu=7)
+        built = glue(spec)
+        pred = glued_invariants(spec)
+        wrong = generated_ideal(built, (*pred.trace_min_gens, built.multiplicity))
+        outcome = verify_construction(dataclasses.replace(pred, trace_set=wrong), built)
+        assert not outcome.verified
+        assert outcome.discrepancies == ("trace_set",)
 
 
 class TestArithmeticSemigroup:

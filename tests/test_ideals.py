@@ -11,6 +11,7 @@ from nsg.ideals import (
     canonical_ideal,
     dual_ideal,
     gap_bound_check,
+    generated_ideal,
     ideal_sum,
     minimal_generators,
     trace_and_residue,
@@ -32,12 +33,24 @@ from strategies import semigroups
 
 def whole_semigroup_ideal(s):
     """The semigroup itself, as a relative ideal over itself."""
-    return RelativeIdeal(s, tuple(x for x in range(s.frobenius + 1) if s.contains(x)), s.frobenius + 1)
+    return RelativeIdeal(s, s.apery)
 
 
 def shifted(ideal, a):
-    """The translate a + ideal."""
-    return RelativeIdeal(ideal.ambient, tuple(h + a for h in ideal.head), ideal.conductor + a)
+    """The translate a + ideal: class c holds a plus the minimum of class c - a."""
+    m = len(ideal.mins)
+    return RelativeIdeal(ideal.ambient, tuple(ideal.mins[(c - a) % m] + a for c in range(m)))
+
+
+class TestRelativeIdeal:
+    def test_canonical_357_stored_as_class_minima(self):
+        k = canonical_ideal(new_semigroup([3, 5, 7]))
+        assert k.mins == (0, 7, 2)
+        assert [x for x in range(-3, 8) if k.contains(x)] == [0, 2, 3, 5, 6, 7]
+
+    def test_one_minimum_per_class_required(self):
+        with pytest.raises(ValueError):
+            RelativeIdeal(new_semigroup([3, 5, 7]), (0, 2))
 
 
 class TestCanonicalIdeal:
@@ -89,11 +102,30 @@ class TestDualIdeal:
     def test_tail_only_ideal(self):
         # a pure tail still constrains the dual through its early elements
         s = new_semigroup([3, 5, 7])
-        tail = RelativeIdeal(s, (), 5)
+        tail = RelativeIdeal(s, (6, 7, 5))  # [5, infinity)
         d = dual_ideal(s, tail)
         below = [z for z in range(min(d.head, default=d.conductor), 20) if d.contains(z)]
         assert all(s.contains(z + x) for z in below for x in range(5, 30))
         assert not d.contains(-1)
+
+    def test_ambient_mismatch(self):
+        k = canonical_ideal(new_semigroup([2, 3]))
+        with pytest.raises(AmbientMismatch):
+            dual_ideal(new_semigroup([3, 5, 7]), k)
+
+
+class TestGeneratedIdeal:
+    def test_trace_357_from_its_generators(self):
+        s = new_semigroup([3, 5, 7])
+        assert generated_ideal(s, [7, 5, 3, 10]) == trace_and_residue(s).trace
+
+    def test_whole_semigroup(self):
+        s = new_semigroup([4, 5, 7])
+        assert generated_ideal(s, [0]) == whole_semigroup_ideal(s)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            generated_ideal(new_semigroup([3, 5, 7]), [])
 
 
 class TestIdealSum:
@@ -286,14 +318,12 @@ def test_minimal_generators_match_direct_definition(gens):
     assert list(trace_and_residue(s).trace_min_gens) == brute_minimal_ideal_generators(elements, members, bound)
 
 def ideal_from_gens(s, gens):
-    """The relative ideal generated by gens, in canonical form, read off the
-    oracle's element list (everything from max(gens) + F + 1 on is inside)."""
-    tail = max(gens) + s.frobenius + 1
-    elems = brute_ideal(s.generators, gens, tail)
-    conductor = tail
-    while conductor - 1 in elems:
-        conductor -= 1
-    return RelativeIdeal(s, tuple(sorted(e for e in elems if e < conductor)), conductor)
+    """The relative ideal generated by gens, as class minima read off the
+    oracle's element list (everything from max(gens) + F + 1 on is inside,
+    so listing m more integers reaches every class)."""
+    m = s.multiplicity
+    elems = brute_ideal(s.generators, gens, max(gens) + s.frobenius + 1 + m)
+    return RelativeIdeal(s, tuple(min(e for e in elems if e % m == c) for c in range(m)))
 
 
 @st.composite
@@ -328,6 +358,16 @@ def test_ideal_operations_match_set_oracles(case):
     gens = minimal_generators(left)
     assert list(gens) == brute_minimal_ideal_generators(elements, members, bound)
     assert set(gens) <= set(left_gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(semigroup_and_ideal_gens())
+def test_generated_ideal_matches_set_oracle(case):
+    s, gens, _ = case
+    ideal = generated_ideal(s, gens)
+    lo, hi = min(gens) - s.multiplicity, max(gens) + s.frobenius + 1 + s.multiplicity
+    assert {x for x in range(lo, hi) if ideal.contains(x)} == brute_ideal(s.generators, gens, hi)
+    assert ideal == ideal_from_gens(s, gens)
 
 
 @settings(max_examples=50, deadline=None)
@@ -373,3 +413,23 @@ def test_maximal_embedding_dimension_pseudo_frobenius_memory():
         tracemalloc.stop()
     assert pf.elements == tuple(range(1, 2000))
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("operation", ["trace_and_residue", "canonical_ideal", "dual_ideal"])
+def test_large_frobenius_ideal_memory(operation):
+    # F = 3,025,335 but m = 5,003: on class-minimum vectors each operation
+    # stays O(generators * m), where listing the head would take O(F)
+    s = new_semigroup([5003, 7001, 9001, 9007])
+    k = canonical_ideal(s)
+    run = {
+        "trace_and_residue": lambda: trace_and_residue(s),
+        "canonical_ideal": lambda: canonical_ideal(s),
+        "dual_ideal": lambda: dual_ideal(s, k),
+    }[operation]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
