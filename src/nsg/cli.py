@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (or verification passed / skipped), 2 invalid input or
 violated construction precondition, 3 a verified prediction failed to match
-the direct computation, 4 output I/O failure.
+the direct computation, 4 output I/O failure.  Every ``NsgError`` or
+``ValueError`` a command raises exits 2 as a usage error of that command
+(see ``_Command``), so its last line is ``Error: <message>``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import Counter
 import click
 
 from .constructions import GluingSpec, _glued_invariants, glue, lift, lifted_invariants, verify_construction
-from .errors import InvalidSetting, NsgError
+from .errors import NsgError
 from .ideals import trace_and_residue
 from .scan import DEFAULT_LIMIT, canonical_json, hunt as run_hunt, info_payload, scan_family, summarize, write_jsonl
 from .semigroup import NumericalSemigroup, new_semigroup
@@ -27,10 +29,7 @@ def _parse_generators(text: str) -> NumericalSemigroup:
         raise click.UsageError(f"could not parse generators from {text!r}")
     if not gens:
         raise click.UsageError("empty generator list")
-    try:
-        return new_semigroup(gens)
-    except (NsgError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    return new_semigroup(gens)
 
 
 def _echo_table(payload: dict, indent: str = "") -> None:
@@ -46,7 +45,22 @@ def _echo_table(payload: dict, indent: str = "") -> None:
             click.echo(f"{indent}{key}: {value}")
 
 
-@click.group()
+class _Command(click.Command):
+    """A subcommand whose library errors exit 2 as usage errors of that
+    subcommand; failed internal self-checks (``AssertionError``) still raise."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (NsgError, ValueError) as exc:
+            raise click.UsageError(str(exc), ctx=ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Numerical semigroup toolkit: traces, residues, gluings, liftings,
     and projective-closure verdicts."""
@@ -59,10 +73,7 @@ def main() -> None:
 def info(generators: str, as_json: bool, toric: bool) -> None:
     """Report all invariants of the semigroup generated by GENERATORS."""
     s = _parse_generators(generators)
-    try:
-        payload = {"generators": list(s.generators), **info_payload(s, toric=toric)}
-    except NsgError as exc:
-        raise click.UsageError(str(exc))
+    payload = {"generators": list(s.generators), **info_payload(s, toric=toric)}
     if as_json:
         click.echo(canonical_json(payload))
     else:
@@ -94,16 +105,7 @@ def _report_construction(predicted, built, verify: bool, as_json: bool) -> None:
     if verify:
         _report_verification(predicted, built, as_json)
         return
-    payload = {
-        "generators": list(built.generators),
-        "predicted": {
-            "frobenius": predicted.frobenius,
-            "pf": list(predicted.pf),
-            "trace_min_gens": list(predicted.trace_min_gens),
-            "residue": predicted.residue,
-            "gap_bound": predicted.gap_bound,
-        },
-    }
+    payload = {"generators": list(built.generators), "predicted": predicted.to_json()}
     if as_json:
         click.echo(canonical_json(payload))
     else:
@@ -121,12 +123,8 @@ def glue_cmd(left: str, right: str, lam: int, mu: int, verify: bool, as_json: bo
     """Glue two semigroups and report the predicted invariants."""
     l, r = _parse_generators(left), _parse_generators(right)
     spec = GluingSpec(l, r, lam, mu)
-    try:
-        built = glue(spec)
-        predicted = _glued_invariants(spec, built)
-    except (NsgError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-    _report_construction(predicted, built, verify, as_json)
+    built = glue(spec)
+    _report_construction(_glued_invariants(spec, built), built, verify, as_json)
 
 
 @main.command(name="lift")
@@ -137,12 +135,8 @@ def glue_cmd(left: str, right: str, lam: int, mu: int, verify: bool, as_json: bo
 def lift_cmd(generators: str, k: int, verify: bool, as_json: bool) -> None:
     """Lift a semigroup by scaling all generators but the multiplicity."""
     s = _parse_generators(generators)
-    try:
-        built = lift(s, k)
-        predicted = lifted_invariants(s, k)
-    except (NsgError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-    _report_construction(predicted, built, verify, as_json)
+    built = lift(s, k)
+    _report_construction(lifted_invariants(s, k), built, verify, as_json)
 
 
 @main.command()
@@ -151,11 +145,8 @@ def lift_cmd(generators: str, k: int, verify: bool, as_json: bool) -> None:
 def toric(generators: str, as_json: bool) -> None:
     """Projective-closure verdict for the monomial curve of GENERATORS."""
     s = _parse_generators(generators)
-    try:
-        report = acm_and_hypothesis(s)
-        verdict = ClosureVerdict(report.acm, report.hypothesis, trace_and_residue(s).nearly_gorenstein)
-    except NsgError as exc:
-        raise click.UsageError(str(exc))
+    report = acm_and_hypothesis(s)
+    verdict = ClosureVerdict(report.acm, report.hypothesis, trace_and_residue(s).nearly_gorenstein)
     if as_json:
         click.echo(canonical_json({**verdict.to_json(), "gb": report.gb.to_json()}))
     else:
@@ -178,10 +169,7 @@ def toric(generators: str, as_json: bool) -> None:
 @click.option("--verify", is_flag=True, help="Verify construction predictions (gluing and lifting).")
 def scan(family: str, seed: int, limit: int | None, max_multiplicity: int, out: str, verify: bool) -> None:
     """Scan a family of semigroups and append one JSONL record each."""
-    try:
-        records = scan_family(family, seed=seed, limit=limit, max_multiplicity=max_multiplicity, verify=verify)
-    except InvalidSetting as exc:
-        raise click.UsageError(str(exc))
+    records = scan_family(family, seed=seed, limit=limit, max_multiplicity=max_multiplicity, verify=verify)
     try:
         write_jsonl(out, records)
     except OSError as exc:

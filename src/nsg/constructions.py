@@ -69,6 +69,16 @@ class PredictedInvariants:
     provenance: str
     trace_set: RelativeIdeal | None = None
 
+    def to_json(self) -> dict:
+        """The five predicted invariants, JSON-ready."""
+        return {
+            "frobenius": self.frobenius,
+            "pf": list(self.pf),
+            "trace_min_gens": list(self.trace_min_gens),
+            "residue": self.residue,
+            "gap_bound": self.gap_bound,
+        }
+
 
 @dataclass(frozen=True)
 class VerificationOutcome:

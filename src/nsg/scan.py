@@ -124,14 +124,7 @@ def _verification_payload(outcome: VerificationOutcome) -> dict:
     return {
         "verified": outcome.verified,
         "discrepancies": list(outcome.discrepancies),
-        "predicted": {
-            "frobenius": outcome.predicted.frobenius,
-            "pf": list(outcome.predicted.pf),
-            "trace_min_gens": list(outcome.predicted.trace_min_gens),
-            "residue": outcome.predicted.residue,
-            "gap_bound": outcome.predicted.gap_bound,
-            "provenance": outcome.predicted.provenance,
-        },
+        "predicted": {**outcome.predicted.to_json(), "provenance": outcome.predicted.provenance},
     }
 
 

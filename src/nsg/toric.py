@@ -327,21 +327,6 @@ def normal_form(item: Binomial | Monomial, gb: GroebnerBasis) -> Binomial | Mono
     return red.reduce(tuple(item))
 
 
-def is_groebner(gb: GroebnerBasis) -> bool:
-    """Buchberger criterion: every S-pair reduces to zero."""
-    red = _Reducer(gb.elements)
-    n = len(gb.elements)
-    for i in range(n):
-        for j in range(i + 1, n):
-            f, g = gb.elements[i], gb.elements[j]
-            lcm = _lcm(f.plus, g.plus)
-            left = red.reduce(_rewrite(lcm, f.plus, f.minus))
-            right = red.reduce(_rewrite(lcm, g.plus, g.minus))
-            if left != right:
-                return False
-    return True
-
-
 def _gamma_degree(m: Monomial, weights: Sequence[int]) -> int:
     return sum(e * w for e, w in zip(m, weights))
 
@@ -423,8 +408,9 @@ def homogenized_gb(s: NumericalSemigroup) -> GroebnerBasis:
     """Homogenize the affine basis with a new variable placed last.
 
     Under degrevlex with the homogenizing variable last, homogenizing a
-    reduced basis keeps it a reduced Groebner basis; this is re-asserted by
-    reducing every S-pair.
+    reduced basis keeps it a reduced Groebner basis (the tests check that
+    against an independent S-pair oracle); only the orientation of each
+    lead and the weight balance are re-asserted here.
     """
     affine = reduced_gb(s)
     e = s.embedding_dimension
@@ -439,8 +425,6 @@ def homogenized_gb(s: NumericalSemigroup) -> GroebnerBasis:
             raise AssertionError(f"homogenization flipped the lead of {b}")
         elements.append(Binomial(plus, minus))
     gb = GroebnerBasis(tuple(elements), order)
-    if not is_groebner(gb):
-        raise AssertionError(f"homogenized basis of {s} fails the Buchberger criterion")
     _assert_balanced(gb, s.generators + (0,))
     return gb
 

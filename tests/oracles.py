@@ -167,3 +167,33 @@ def selmer_genus(apery: Sequence[int], multiplicity: int) -> int:
     twice = 2 * sum(apery) - multiplicity * (multiplicity - 1)
     assert twice % (2 * multiplicity) == 0
     return twice // (2 * multiplicity)
+
+
+def naive_normal_form(m: Sequence[int], elements: Sequence[tuple[Sequence[int], Sequence[int]]]) -> tuple[int, ...]:
+    """Rewrite the monomial m by lead -> tail, with the first listed element
+    whose lead divides it, until no lead does.  Terminates when every lead
+    is larger than its tail under one monomial order."""
+    m = tuple(m)
+    while True:
+        for lead, tail in elements:
+            if all(a <= x for a, x in zip(lead, m)):
+                m = tuple(x - a + t for x, a, t in zip(m, lead, tail))
+                break
+        else:
+            return m
+
+
+def buchberger_criterion(elements: Sequence[tuple[Sequence[int], Sequence[int]]]) -> bool:
+    """Buchberger's criterion for the binomials lead - tail given as
+    (lead, tail) exponent pairs: every S-pair reduces to zero, that is, the
+    two monomials it rewrites the lcm of the leads to have one normal form.
+    Pairs with coprime leads are skipped (Buchberger's first criterion)."""
+    for (a, ta), (b, tb) in itertools.combinations(elements, 2):
+        if not any(x and y for x, y in zip(a, b)):
+            continue
+        lcm = [max(x, y) for x, y in zip(a, b)]
+        left = naive_normal_form([l - x + t for l, x, t in zip(lcm, a, ta)], elements)
+        right = naive_normal_form([l - y + t for l, y, t in zip(lcm, b, tb)], elements)
+        if left != right:
+            return False
+    return True

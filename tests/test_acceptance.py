@@ -19,9 +19,9 @@ from nsg.constructions import (
 from nsg.ideals import trace_and_residue
 from nsg.scan import hunt, random_gluing_spec, random_lift, scan_family
 from nsg.semigroup import gap_profile, new_semigroup
-from nsg.toric import acm_and_hypothesis, is_groebner, projective_ng_verdict, reduced_gb
+from nsg.toric import acm_and_hypothesis, projective_ng_verdict, reduced_gb
 
-from oracles import brute_trace, gap_sets_by_genus, window
+from oracles import brute_trace, buchberger_criterion, gap_sets_by_genus, window
 
 GLUING_SEED = 20240817
 LIFTING_SEED = 964213
@@ -145,7 +145,7 @@ def test_criterion_6_groebner_correctness():
     for gens in ([2, 3], [3, 4, 5], [4, 5, 7], [4, 6, 7], [5, 6, 7, 8, 9], [8, 10, 12, 15], [3, 10, 14]):
         s = new_semigroup(gens)
         basis = reduced_gb(s)
-        ok &= is_groebner(basis)
+        ok &= buchberger_criterion([(b.plus, b.minus) for b in basis.elements])
         for b in basis.elements:
             ok &= sum(e * n for e, n in zip(b.plus, s.generators)) == sum(
                 e * n for e, n in zip(b.minus, s.generators)

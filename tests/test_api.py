@@ -1,7 +1,8 @@
-"""The public surface: every exported name exists, every function the
-benchmark's spans wrap is still a function of its module, so a deletion
-that would break ``pytest bench`` fails here too, and no other module
-reaches into the private helpers of ``nsg.ideals``."""
+"""The public surface: every exported name exists, ``nsg.__all__`` is the
+modules' own lists joined, every function the benchmark's spans wrap is
+still a function of its module, so a deletion that would break ``pytest
+bench`` fails here too, and no other module reaches into the private
+helpers of ``nsg.ideals``."""
 
 import ast
 import importlib
@@ -14,11 +15,22 @@ import nsg
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
+# the modules whose public names make up nsg.__all__, in its order
+EXPORTING = ("semigroup", "ideals", "constructions", "toric")
+
 
 def test_every_exported_name_exists():
     modules = [nsg] + [importlib.import_module(f"nsg.{info.name}") for info in pkgutil.iter_modules(nsg.__path__)]
     missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert missing == []
+
+
+def test_package_exports_are_the_module_lists_joined():
+    modules = [importlib.import_module(f"nsg.{name}") for name in EXPORTING]
+    joined = [name for module in modules for name in module.__all__]
+    assert nsg.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    assert [f"{m.__name__}.{n}" for m in modules for n in m.__all__ if getattr(nsg, n) is not getattr(m, n)] == []
 
 
 def test_benchmark_spans_wrap_existing_functions():

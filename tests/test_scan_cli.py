@@ -370,6 +370,38 @@ class TestCli:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["info", "0"], "generators must be positive integers, got [0]"),
+        (["glue", "3,5,7", "2,3", "--lambda", "-10", "--mu", "7"], "gluing scalars must be positive"),
+        (["lift", "3,5,7", "-k", "0"], "lift factor must be >= 1, got 0"),
+        (["toric", "3,5"], "the projective criterion needs >= 3 generators, got (3, 5)"),
+        (["scan", "random", "--limit", "2"], "NSG_THREADS must be a positive integer, got '0'"),
+    ],
+    ids=["info", "glue", "lift", "toric", "scan"],
+)
+def test_library_error_is_a_usage_error_of_its_subcommand(runner, tmp_path, args, message):
+    out = tmp_path / "scan.jsonl"
+    argv = args + ["--out", str(out)] if args[0] == "scan" else args
+    result = runner.invoke(main, argv, env={"NSG_THREADS": "0"})
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert lines[-1] == f"Error: {message}"
+    assert lines[0].startswith("Usage: ") and f" {args[0]} [OPTIONS]" in lines[0]
+    assert not out.exists()
+
+
+def test_failed_self_check_is_not_a_usage_error(runner, monkeypatch):
+    def broken(s):
+        raise AssertionError("self-check failed")
+
+    monkeypatch.setattr(cli_mod, "acm_and_hypothesis", broken)
+    result = runner.invoke(main, ["toric", "4,5,7"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, AssertionError)
+
+
 @settings(max_examples=30, deadline=None)
 @given(semigroups())
 def test_info_json_round_trip(s):

@@ -20,14 +20,17 @@ from nsg.toric import (
     degrevlex,
     elimination_order,
     homogenized_gb,
-    is_groebner,
     normal_form,
     projective_ng_verdict,
     reduced_gb,
 )
 
-from oracles import fiber_monomials
+from oracles import buchberger_criterion, fiber_monomials
 from strategies import semigroups
+
+
+def spair_oracle(gb) -> bool:
+    return buchberger_criterion([(b.plus, b.minus) for b in gb.elements])
 
 
 class TestMonomialOrders:
@@ -61,7 +64,7 @@ class TestBuchberger:
         ]
         gb = buchberger(gens, order)
         assert set(gb.leading_monomials) == {(3, 0, 0), (0, 3, 0), (1, 2, 0)}
-        assert is_groebner(gb)
+        assert spair_oracle(gb)
 
     def test_discovers_missing_element(self):
         order = degrevlex(["x1", "x2", "x3"])
@@ -202,7 +205,19 @@ class TestHomogenizedGb:
     def test_all_elements_homogeneous(self):
         gb = homogenized_gb(new_semigroup([4, 5, 7]))
         assert all(b.homogeneous for b in gb.elements)
-        assert is_groebner(gb)
+        assert spair_oracle(gb)
+
+    def test_criterion_8_grid_up_to_n1_10_passes_the_oracle(self):
+        grid = [
+            (n1, d, e)
+            for n1 in range(3, 11)
+            for d in range(1, 6)
+            if math.gcd(n1, d) == 1
+            for e in range(3, n1 + 1)
+        ]
+        assert len(grid) == 117
+        failing = [inst for inst in grid if not spair_oracle(homogenized_gb(arithmetic_semigroup(*inst)))]
+        assert failing == []
 
 
 class TestAcmAndHypothesis:
@@ -258,7 +273,17 @@ def test_buchberger_deterministic_repeat():
 
 def test_groebner_bases_pass_spair_criterion():
     for gens in ([3, 4, 5], [4, 5, 7], [4, 6, 7], [5, 6, 7, 8, 9], [8, 10, 12, 15], [3, 10, 14]):
-        assert is_groebner(reduced_gb(new_semigroup(gens)))
+        assert spair_oracle(reduced_gb(new_semigroup(gens)))
+
+
+@pytest.mark.parametrize("gens", [[3, 4, 5], [4, 5, 7], [4, 6, 7], [5, 6, 7, 8, 9], [8, 10, 12, 15], [3, 10, 14]])
+def test_spair_oracle_rejects_a_basis_missing_its_first_element(gens):
+    # the oracle must be able to fail: without its first element, each of
+    # these bases leaves an S-pair whose two sides have distinct normal forms
+    for gb in (reduced_gb(new_semigroup(gens)), homogenized_gb(new_semigroup(gens))):
+        elements = [(b.plus, b.minus) for b in gb.elements]
+        assert buchberger_criterion(elements)
+        assert not buchberger_criterion(elements[1:])
 
 
 @pytest.mark.parametrize(
