@@ -154,6 +154,15 @@ def toric(generators: str, as_json: bool) -> None:
         click.echo(f"basis elements: {len(report.gb.elements)}")
 
 
+def _write(out: str, records: list[dict]) -> None:
+    """Append the records to ``out``; a failed write exits 4."""
+    try:
+        write_jsonl(out, records)
+    except OSError as exc:
+        click.echo(f"cannot write {out}: {exc}", err=True)
+        sys.exit(4)
+
+
 @main.command()
 @click.argument("family", type=click.Choice(["random", "arithmetic", "gluing", "lifting"]))
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -170,28 +179,18 @@ def toric(generators: str, as_json: bool) -> None:
 def scan(family: str, seed: int, limit: int | None, max_multiplicity: int, out: str, verify: bool) -> None:
     """Scan a family of semigroups and append one JSONL record each."""
     records = scan_family(family, seed=seed, limit=limit, max_multiplicity=max_multiplicity, verify=verify)
-    try:
-        write_jsonl(out, records)
-    except OSError as exc:
-        click.echo(f"cannot write {out}: {exc}", err=True)
-        sys.exit(4)
+    _write(out, records)
     click.echo(summarize(records).line())
 
 
 @main.command()
-@click.option("--max-genus", type=int, required=True)
+@click.option("--max-genus", type=click.IntRange(min=1), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Optional JSONL file for all records.")
 def hunt(max_genus: int, out: str | None) -> None:
     """Exhaustively test residue <= genus - non_gaps up to a genus bound."""
-    if max_genus < 1:
-        raise click.UsageError("--max-genus must be >= 1")
     records, findings, histogram = run_hunt(max_genus)
     if out is not None:
-        try:
-            write_jsonl(out, records)
-        except OSError as exc:
-            click.echo(f"cannot write {out}: {exc}", err=True)
-            sys.exit(4)
+        _write(out, records)
     click.echo(f"checked {len(records)} semigroups up to genus {max_genus}")
     click.echo("slack histogram: " + ", ".join(f"{k}: {v}" for k, v in histogram.items()))
     if findings:

@@ -82,10 +82,16 @@ class PredictedInvariants:
 
 @dataclass(frozen=True)
 class VerificationOutcome:
+    """A prediction, the trace report computed directly, and the names of
+    the fields on which they disagree; verified iff there are none."""
+
     predicted: PredictedInvariants
     computed: TraceReport
-    verified: bool
     discrepancies: tuple[str, ...]
+
+    @property
+    def verified(self) -> bool:
+        return not self.discrepancies
 
 
 def _validate(spec: GluingSpec) -> None:
@@ -196,12 +202,7 @@ def verify_construction(predicted: PredictedInvariants, built: NumericalSemigrou
         discrepancies.append("trace_set")
     if predicted.trace_min_gens != report.trace_min_gens:
         discrepancies.append("trace_min_gens")
-    return VerificationOutcome(
-        predicted=predicted,
-        computed=report,
-        verified=not discrepancies,
-        discrepancies=tuple(discrepancies),
-    )
+    return VerificationOutcome(predicted=predicted, computed=report, discrepancies=tuple(discrepancies))
 
 
 def arithmetic_semigroup(n1: int, d: int, e: int) -> NumericalSemigroup:

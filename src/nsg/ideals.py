@@ -34,7 +34,6 @@ from .semigroup import NumericalSemigroup, _fold, pseudo_frobenius
 __all__ = [
     "RelativeIdeal",
     "TraceReport",
-    "GapBoundCheck",
     "generated_ideal",
     "canonical_ideal",
     "dual_ideal",
@@ -104,30 +103,54 @@ def _sum(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceReport:
-    """Trace ideal of the canonical ideal, with residue and classification.
+    """Trace ideal of the canonical ideal, with its residue and the genus.
 
     ``pf`` holds the pseudo-Frobenius numbers; the naturals carry (-1,):
     -1 is their Frobenius number and plays the canonical-generator role
-    there, which keeps the gluing and lifting formulas total.
+    there, which keeps the gluing and lifting formulas total.  Only the
+    trace, its minimal generators, ``pf``, the residue and the genus are
+    stored; the classification derives from them when read:
+
+    - ``gorenstein``: residue 0; ``nearly_gorenstein``: residue <= 1;
+    - ``gap_bound``: genus minus the F + 1 - genus members below F;
+    - ``slack``: gap_bound - residue, and ``question_holds`` iff it is >= 0;
+    - ``missing``: the members below the trace's class minima, an O(F) list.
     """
 
     trace: RelativeIdeal
     trace_min_gens: tuple[int, ...]
     pf: tuple[int, ...]
     residue: int
-    missing: tuple[int, ...]
-    gorenstein: bool
-    nearly_gorenstein: bool
-    gap_bound: int
-    question_holds: bool
+    genus: int
 
+    @property
+    def gorenstein(self) -> bool:
+        return self.residue == 0
 
-@dataclass(frozen=True)
-class GapBoundCheck:
-    residue: int
-    gap_bound: int
-    holds: bool
-    slack: int
+    @property
+    def nearly_gorenstein(self) -> bool:
+        return self.residue <= 1
+
+    @property
+    def gap_bound(self) -> int:
+        return 2 * self.genus - self.trace.ambient.frobenius - 1
+
+    @property
+    def slack(self) -> int:
+        return self.gap_bound - self.residue
+
+    @property
+    def question_holds(self) -> bool:
+        return self.residue <= self.gap_bound
+
+    @property
+    def missing(self) -> tuple[int, ...]:
+        m = len(self.trace.mins)
+        apery = np.array(self.trace.ambient.apery)
+        counts = (np.array(self.trace.mins) - apery) // m
+        # class c misses apery[c], apery[c] + m, ..., trace[c] - m
+        steps = np.arange(self.residue) - np.repeat(np.cumsum(counts) - counts, counts)
+        return tuple(np.sort(np.repeat(apery, counts) + m * steps).tolist())
 
 
 def generated_ideal(s: NumericalSemigroup, elements: Iterable[int]) -> RelativeIdeal:
@@ -193,53 +216,37 @@ def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
 
 
 def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
-    """Canonical trace ideal, residue, and nearly-Gorenstein classification.
+    """Canonical trace ideal, residue, and genus.
 
     The trace is K + (S - K), all on class-minimum vectors, where K is
     generated by F - x over the pseudo-Frobenius numbers x.  The residue
     counts the members below the trace's class minima; genus comes from
-    Selmer's formula (the sum of Ap[c] // m), and the Gorenstein flag from
-    the independent symmetry count 2 * genus == F + 1, which is
-    cross-checked against residue zero: disagreement means a bug, not data.
+    Selmer's formula (the sum of Ap[c] // m), and the independent symmetry
+    count 2 * genus == F + 1 is cross-checked against residue zero:
+    disagreement means a bug, not data.
     """
     m, f = s.multiplicity, s.frobenius
     apery = np.array(s.apery)
     pf = (-1,) if s.is_naturals else pseudo_frobenius(s).elements
     kan_gens = f - np.array(pf[::-1])
     trace = _sum(kan_gens, _dual(apery, kan_gens))
-    counts = (trace - apery) // m
-    residue = int(counts.sum())
-    # class c misses apery[c], apery[c] + m, ..., trace[c] - m
-    steps = np.arange(residue) - np.repeat(np.cumsum(counts) - counts, counts)
-    missing = np.sort(np.repeat(apery, counts) + m * steps)
+    residue = int(((trace - apery) // m).sum())
     genus = int((apery // m).sum())
-    gorenstein = 2 * genus == f + 1
-    if gorenstein != (residue == 0):
-        raise AssertionError(
-            f"symmetry test and residue disagree on {s}: symmetric={gorenstein}, residue={residue}"
-        )
-    bound = 2 * genus - f - 1  # genus minus the f + 1 - genus members below F
+    symmetric = 2 * genus == f + 1
+    if symmetric != (residue == 0):
+        raise AssertionError(f"symmetry test and residue disagree on {s}: symmetric={symmetric}, residue={residue}")
     return TraceReport(
         trace=_ideal(s, trace),
         trace_min_gens=tuple(_min_gens(trace, s.generators).tolist()),
         pf=pf,
         residue=residue,
-        missing=tuple(missing.tolist()),
-        gorenstein=gorenstein,
-        nearly_gorenstein=residue <= 1,
-        gap_bound=bound,
-        question_holds=residue <= bound,
+        genus=genus,
     )
 
 
-def gap_bound_check(s: NumericalSemigroup) -> GapBoundCheck:
-    """Residue against the gap-count bound; negative slack would be a finding."""
+def gap_bound_check(s: NumericalSemigroup) -> TraceReport:
+    """The trace report of a semigroup with at least one gap, for its residue
+    against the gap-count bound; a negative ``slack`` would be a finding."""
     if s.is_naturals:
         raise TrivialSemigroup("gap bound needs at least one gap")
-    report = trace_and_residue(s)
-    return GapBoundCheck(
-        residue=report.residue,
-        gap_bound=report.gap_bound,
-        holds=report.question_holds,
-        slack=report.gap_bound - report.residue,
-    )
+    return trace_and_residue(s)

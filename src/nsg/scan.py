@@ -89,18 +89,18 @@ def info_payload(
     s: NumericalSemigroup, toric: bool = False, slack: bool = False, report: TraceReport | None = None
 ) -> dict:
     """All invariants of one semigroup, JSON-ready (integers only); pass
-    ``report`` when the trace of ``s`` is already computed."""
+    ``report`` when the trace of ``s`` is already computed.  The genus is
+    the trace's; ``gap_profile`` supplies only the gap list."""
     if report is None:
         report = trace_and_residue(s)
-    profile = gap_profile(s)
     pf_elements = () if s.is_naturals else report.pf
     payload = {
         "multiplicity": s.multiplicity,
         "embedding_dimension": s.embedding_dimension,
-        "frobenius": profile.frobenius,
-        "gaps": list(profile.gaps),
-        "genus": profile.genus,
-        "non_gap_count": profile.non_gap_count,
+        "frobenius": s.frobenius,
+        "gaps": list(gap_profile(s).gaps),
+        "genus": report.genus,
+        "non_gap_count": s.frobenius + 1 - report.genus,
         "pf": list(pf_elements),
         "type": len(pf_elements),
         "trace": {"head": list(report.trace.head), "conductor": report.trace.conductor},
@@ -113,7 +113,7 @@ def info_payload(
         "question_holds": report.question_holds,
     }
     if slack:
-        payload["slack"] = report.gap_bound - report.residue
+        payload["slack"] = report.slack
     if toric:
         closure = acm_and_hypothesis(s)
         payload["closure"] = ClosureVerdict(closure.acm, closure.hypothesis, report.nearly_gorenstein).to_json()

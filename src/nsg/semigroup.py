@@ -147,22 +147,38 @@ class NumericalSemigroup:
 
 @dataclass(frozen=True)
 class GapProfile:
-    """Gap data of a semigroup: the gaps, their count, and the count of
-    semigroup elements below the Frobenius number."""
+    """Gap data of a semigroup, stored as the increasing gap list.
+
+    The genus (the gap count), the Frobenius number (the largest gap, -1 for
+    the naturals) and the count of members below it, F + 1 - genus, are
+    derived when read.
+    """
 
     gaps: tuple[int, ...]
-    genus: int
-    frobenius: int
-    non_gap_count: int
+
+    @property
+    def genus(self) -> int:
+        return len(self.gaps)
+
+    @property
+    def frobenius(self) -> int:
+        return self.gaps[-1] if self.gaps else -1
+
+    @property
+    def non_gap_count(self) -> int:
+        return self.frobenius + 1 - self.genus
 
 
 @dataclass(frozen=True)
 class PseudoFrobeniusSet:
     """The pseudo-Frobenius numbers (gaps x with x + s inside for all nonzero
-    members s) and their count, the type."""
+    members s); their count is the type."""
 
     elements: tuple[int, ...]
-    type: int
+
+    @property
+    def type(self) -> int:
+        return len(self.elements)
 
 
 def _fold(vec: np.ndarray, shifts: np.ndarray, offsets: np.ndarray, reduce: np.ufunc) -> np.ndarray:
@@ -194,13 +210,7 @@ def new_semigroup(raw_generators: Iterable[int]) -> NumericalSemigroup:
 
 
 def gap_profile(s: NumericalSemigroup) -> GapProfile:
-    f = s.frobenius
-    if f < 0:
-        return GapProfile(gaps=(), genus=0, frobenius=f, non_gap_count=0)
-    window = s.member_mask(f + 1)
-    gaps = tuple(np.flatnonzero(~window).tolist())
-    non_gaps = int(np.count_nonzero(window[:f]))
-    return GapProfile(gaps=gaps, genus=len(gaps), frobenius=f, non_gap_count=non_gaps)
+    return GapProfile(tuple(np.flatnonzero(~s.member_mask(s.frobenius + 1)).tolist()))
 
 
 def pseudo_frobenius(s: NumericalSemigroup) -> PseudoFrobeniusSet:
@@ -217,5 +227,4 @@ def pseudo_frobenius(s: NumericalSemigroup) -> PseudoFrobeniusSet:
     apery = np.array(s.apery)
     gens = np.array(s.generators[1:])
     maximal = _fold(apery, gens, -gens, np.maximum) < apery
-    elements = tuple((np.sort(apery[maximal]) - s.multiplicity).tolist())
-    return PseudoFrobeniusSet(elements=elements, type=len(elements))
+    return PseudoFrobeniusSet(tuple((np.sort(apery[maximal]) - s.multiplicity).tolist()))

@@ -55,17 +55,21 @@ def _drl_key(m: Sequence[int]) -> tuple:
 class MonomialOrder:
     """A monomial order over a fixed variable sequence.
 
-    ``degrevlex`` compares total degree first; ``elimination-block`` makes
-    every monomial touching the leading block beat all block-free ones, with
-    degrevlex inside each block.
+    With no ``block_split`` it is ``degrevlex``, which compares total degree
+    first; with one it is ``elimination-block``, which makes every monomial
+    touching the leading block beat all block-free ones, with degrevlex
+    inside each block.
     """
 
-    kind: str
     variables: tuple[str, ...]
     block_split: int | None = None
 
+    @property
+    def kind(self) -> str:
+        return "degrevlex" if self.block_split is None else "elimination-block"
+
     def key(self, m: Monomial) -> tuple:
-        if self.kind == "degrevlex":
+        if self.block_split is None:
             return _drl_key(m)
         split = self.block_split
         return (_drl_key(m[:split]), _drl_key(m[split:]))
@@ -81,11 +85,11 @@ class MonomialOrder:
 
 
 def degrevlex(variables: Sequence[str]) -> MonomialOrder:
-    return MonomialOrder("degrevlex", tuple(variables))
+    return MonomialOrder(tuple(variables))
 
 
 def elimination_order(variables: Sequence[str], block_split: int) -> MonomialOrder:
-    return MonomialOrder("elimination-block", tuple(variables), block_split)
+    return MonomialOrder(tuple(variables), block_split)
 
 
 @dataclass(frozen=True)
@@ -431,9 +435,25 @@ def homogenized_gb(s: NumericalSemigroup) -> GroebnerBasis:
 
 @dataclass(frozen=True)
 class AcmHypothesisReport:
-    acm: bool
-    hypothesis: bool
+    """The reduced degrevlex basis of a curve with at least 3 generators;
+    both tests of the transfer criterion are read off it.
+
+    ``acm``: no leading monomial is divisible by the last variable.
+    ``hypothesis``: every non-homogeneous element has the last variable
+    somewhere in its support.
+    """
+
     gb: GroebnerBasis
+
+    @property
+    def acm(self) -> bool:
+        last = len(self.gb.order.variables) - 1
+        return all(b.plus[last] == 0 for b in self.gb.elements)
+
+    @property
+    def hypothesis(self) -> bool:
+        last = len(self.gb.order.variables) - 1
+        return all(b.homogeneous or last in b.support() for b in self.gb.elements)
 
 
 @dataclass(frozen=True)
@@ -471,20 +491,11 @@ class ClosureVerdict:
 
 
 def acm_and_hypothesis(s: NumericalSemigroup) -> AcmHypothesisReport:
-    """Leading-monomial Cohen-Macaulay test plus the last-variable support test.
-
-    acm: no leading monomial of the degrevlex basis is divisible by the last
-    variable.  hypothesis: every non-homogeneous element has the last
-    variable somewhere in its support.
-    """
-    e = s.embedding_dimension
-    if e < 3:
+    """Leading-monomial Cohen-Macaulay test plus the last-variable support
+    test, on the reduced degrevlex basis (see ``AcmHypothesisReport``)."""
+    if s.embedding_dimension < 3:
         raise EmbeddingDimensionTooSmall(f"the projective criterion needs >= 3 generators, got {s.generators}")
-    gb = reduced_gb(s)
-    last = e - 1
-    acm = all(b.plus[last] == 0 for b in gb.elements)
-    hypothesis = all(b.homogeneous or last in b.support() for b in gb.elements)
-    return AcmHypothesisReport(acm=acm, hypothesis=hypothesis, gb=gb)
+    return AcmHypothesisReport(reduced_gb(s))
 
 
 def projective_ng_verdict(s: NumericalSemigroup) -> ClosureVerdict:

@@ -197,3 +197,39 @@ def buchberger_criterion(elements: Sequence[tuple[Sequence[int], Sequence[int]]]
         if left != right:
             return False
     return True
+
+
+def apery_binomials(generators: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """A generating set of the defining ideal of the minimal generators
+    n1 < n2 < ... < ne, as (first, second) exponent pairs over x1..xe.
+
+    Fix one factorization phi(w) of each element w of the Apery set w.r.t.
+    n1; it uses only x2..xe, since w - n1 is not a member.  For each
+    generator n_i != n1 and each w, x_i * x^phi(w) equals
+    x1^k * x^phi(w') in degree, where w' is the Apery element of the class
+    of w + n_i and k = (w + n_i - w') / n1; these binomials generate the
+    ideal, because they rewrite every monomial to the one x1^a * x^phi(w)
+    of its degree.  Identical sides are dropped.
+    """
+    gens = sorted(generators)
+    n1, e = gens[0], len(gens)
+    table = dp_membership(gens, window(gens))
+    apery: dict[int, int] = {}
+    for x, member in enumerate(table):
+        if member:
+            apery.setdefault(x % n1, x)
+    phi: dict[int, tuple[int, ...]] = {0: (0,) * e}
+    for w in sorted(apery.values())[1:]:
+        # w - g is a member with w - g - n1 not one, so it is an Apery element
+        i = next(i for i in range(1, e) if w >= gens[i] and table[w - gens[i]])
+        phi[w] = tuple(c + (j == i) for j, c in enumerate(phi[w - gens[i]]))
+    out = []
+    for i in range(1, e):
+        for w in sorted(apery.values()):
+            target = apery[(w + gens[i]) % n1]
+            k = (w + gens[i] - target) // n1
+            first = tuple(c + (j == i) for j, c in enumerate(phi[w]))
+            second = (phi[target][0] + k,) + phi[target][1:]
+            if first != second:
+                out.append((first, second))
+    return out

@@ -209,7 +209,7 @@ class TestGapBoundCheck:
     )
     def test_examples(self, gens, expected):
         c = gap_bound_check(new_semigroup(gens))
-        assert (c.residue, c.gap_bound, c.holds, c.slack) == expected
+        assert (c.residue, c.gap_bound, c.question_holds, c.slack) == expected
 
     def test_naturals_rejected(self):
         with pytest.raises(TrivialSemigroup):

@@ -254,7 +254,7 @@ class TestCli:
 
         def corrupted(predicted, built):
             outcome = real(predicted, built)
-            return dataclasses.replace(outcome, verified=False, discrepancies=("residue",))
+            return dataclasses.replace(outcome, discrepancies=("residue",))
 
         monkeypatch.setattr(cli_mod, "verify_construction", corrupted)
         result = runner.invoke(
@@ -332,6 +332,13 @@ class TestCli:
         )
         assert result.exit_code == 4
 
+    def test_hunt_io_error_exits_4(self, runner, tmp_path):
+        out = tmp_path / "nope" / "h.jsonl"
+        result = runner.invoke(main, ["hunt", "--max-genus", "3", "--out", str(out)])
+        assert result.exit_code == 4
+        assert result.stderr == f"cannot write {out}: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert result.stdout == ""
+
     def test_hunt_single_genus(self, runner):
         result = runner.invoke(main, ["hunt", "--max-genus", "1"])
         assert result.exit_code == 0
@@ -348,8 +355,10 @@ class TestCli:
         assert all(r["invariants_json"]["slack"] >= 0 for r in rows)
 
     def test_hunt_invalid_genus(self, runner):
-        result = runner.invoke(main, ["hunt", "--max-genus", "0"])
-        assert result.exit_code == 2
+        for value in ("0", "-3"):
+            result = runner.invoke(main, ["hunt", "--max-genus", value])
+            assert result.exit_code == 2
+            assert "--max-genus" in result.output
 
     @pytest.mark.parametrize("family", ["random", "arithmetic", "gluing", "lifting"])
     def test_scan_max_multiplicity_below_three_exits_2(self, runner, tmp_path, family):

@@ -25,7 +25,7 @@ from nsg.toric import (
     reduced_gb,
 )
 
-from oracles import buchberger_criterion, fiber_monomials
+from oracles import apery_binomials, buchberger_criterion, fiber_monomials
 from strategies import semigroups
 
 
@@ -170,6 +170,34 @@ def test_membership_matches_fiber_oracle():
             assert len(forms) == 1, (gens, value, forms)
             seen[value] = forms.pop()
         assert len(set(seen.values())) == len(seen)
+
+
+def apery_basis(s):
+    """Reduced degrevlex basis of the Apery generating set, over the x
+    variables alone: no t and no elimination."""
+    order = degrevlex([f"x{i}" for i in range(1, s.embedding_dimension + 1)])
+    return buchberger([Binomial(*pair) for pair in apery_binomials(s.generators)], order, grading=s.generators)
+
+
+def test_reduced_basis_matches_the_apery_generating_set():
+    # the reduced basis of an ideal is unique, so the elimination route and
+    # the Apery route must agree element for element
+    grid = [
+        arithmetic_semigroup(n1, d, e)
+        for n1 in range(3, 10)
+        for d in range(1, 6)
+        if math.gcd(n1, d) == 1
+        for e in range(3, n1 + 1)
+    ]
+    assert len(grid) == 101
+    rng = random.Random(12)
+    drawn = []
+    while len(drawn) < 30:
+        m = rng.randint(3, 15)
+        gens = [m, *(rng.randint(m + 1, 3 * m) for _ in range(rng.randint(1, 5)))]
+        if math.gcd(*gens) == 1:
+            drawn.append(new_semigroup(gens))
+    assert [s.generators for s in grid + drawn if apery_basis(s) != reduced_gb(s)] == []
 
 
 class TestHomogenizedGb:
