@@ -19,7 +19,7 @@ from .errors import NsgError
 from .ideals import trace_and_residue
 from .scan import DEFAULT_LIMIT, canonical_json, hunt as run_hunt, info_payload, scan_family, summarize, write_jsonl
 from .semigroup import NumericalSemigroup, new_semigroup
-from .toric import ClosureVerdict, acm_and_hypothesis
+from .toric import acm_and_hypothesis
 
 
 def _parse_generators(text: str) -> NumericalSemigroup:
@@ -146,7 +146,7 @@ def toric(generators: str, as_json: bool) -> None:
     """Projective-closure verdict for the monomial curve of GENERATORS."""
     s = _parse_generators(generators)
     report = acm_and_hypothesis(s)
-    verdict = ClosureVerdict(report.acm, report.hypothesis, trace_and_residue(s).nearly_gorenstein)
+    verdict = report.verdict(trace_and_residue(s).nearly_gorenstein)
     if as_json:
         click.echo(canonical_json({**verdict.to_json(), "gb": report.gb.to_json()}))
     else:

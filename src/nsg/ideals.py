@@ -18,18 +18,20 @@ cost whatever F is:
   a + J[(c - a) mod m].
 
 The head (the elements below the conductor), an O(F) list, is computed
-only when it is read.
+only when it is read.  ``trace_reports`` stacks the vectors of semigroups
+with one multiplicity into a matrix and runs each step on all its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
 
 from .errors import AmbientMismatch, TrivialSemigroup
-from .semigroup import NumericalSemigroup, _fold, pseudo_frobenius
+from .semigroup import NumericalSemigroup, _fold, _maximal
 
 __all__ = [
     "RelativeIdeal",
@@ -40,6 +42,7 @@ __all__ = [
     "ideal_sum",
     "minimal_generators",
     "trace_and_residue",
+    "trace_reports",
     "gap_bound_check",
 ]
 
@@ -80,25 +83,29 @@ def _ideal(s: NumericalSemigroup, x: np.ndarray) -> RelativeIdeal:
     return RelativeIdeal(s, tuple(x.tolist()))
 
 
+def _generator_mask(x: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Which entries of each class-minimum row x are minimal generators over
+    the semigroup whose generators are that row of ``gens``: x[c] is iff
+    x[c] - g misses the ideal for every generator g.  m itself gives
+    x[c] + m, which never decides, so it may pad a row."""
+    return x < _fold(x, -gens, np.minimum)
+
+
 def _min_gens(x: np.ndarray, generators: tuple[int, ...]) -> np.ndarray:
-    """Sorted minimal generators of the ideal with class-minimum vector x
-    over the semigroup with these generators (the first is m): x[c] stays
-    iff x[c] - g misses the ideal for every other generator g."""
-    gens = np.array(generators[1:], dtype=np.int64)
-    if len(gens):
-        x = x[x < _fold(x, -gens, gens, np.minimum)]
-    return np.sort(x)
+    """Sorted minimal generators of the ideal with class-minimum vector x."""
+    return np.sort(x[_generator_mask(x[None], np.array([generators]))[0]])
 
 
 def _dual(apery: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """S - I from generators of I: z + a must reach the Apery element of its
-    class for every generator a."""
-    return _fold(apery, gens, -gens, np.maximum)
+    """S - I, row by row, from generators of I: z + a must reach the Apery
+    element of its class for every generator a."""
+    return _fold(apery, gens, np.maximum)
 
 
 def _sum(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """I + J from generators of I and the class-minimum vector x of J."""
-    return _fold(x, -gens, gens, np.minimum)
+    """I + J, row by row, from generators of I and the class-minimum vectors
+    x of J."""
+    return _fold(x, -gens, np.minimum)
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,7 @@ def generated_ideal(s: NumericalSemigroup, elements: Iterable[int]) -> RelativeI
     gens = np.array(list(elements), dtype=np.int64)
     if not len(gens):
         raise ValueError("a relative ideal needs at least one generating element")
-    return _ideal(s, _sum(gens, np.array(s.apery)))
+    return _ideal(s, _sum(gens[None], np.array([s.apery]))[0])
 
 
 def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
@@ -186,7 +193,7 @@ def dual_ideal(s: NumericalSemigroup, ideal: RelativeIdeal) -> RelativeIdeal:
     if ideal.ambient.generators != s.generators:
         raise AmbientMismatch(f"cannot dualize an ideal over {ideal.ambient.generators} in {s.generators}")
     gens = _min_gens(np.array(ideal.mins), s.generators)
-    return _ideal(s, _dual(np.array(s.apery), gens))
+    return _ideal(s, _dual(np.array([s.apery]), gens[None])[0])
 
 
 def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
@@ -201,7 +208,7 @@ def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
         )
     s = left.ambient
     gens = _min_gens(np.array(left.mins), s.generators)
-    return _ideal(s, _sum(gens, np.array(right.mins)))
+    return _ideal(s, _sum(gens[None], np.array([right.mins]))[0])
 
 
 def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
@@ -216,7 +223,13 @@ def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
 
 
 def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
-    """Canonical trace ideal, residue, and genus.
+    """Canonical trace ideal, residue, and genus: ``trace_reports([s])[0]``,
+    without the grouping by multiplicity."""
+    return _trace_rows(s.multiplicity, [s])[0]
+
+
+def trace_reports(semigroups: Iterable[NumericalSemigroup]) -> list[TraceReport]:
+    """The ``TraceReport`` of each semigroup, in input order.
 
     The trace is K + (S - K), all on class-minimum vectors, where K is
     generated by F - x over the pseudo-Frobenius numbers x.  The residue
@@ -224,24 +237,57 @@ def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
     Selmer's formula (the sum of Ap[c] // m), and the independent symmetry
     count 2 * genus == F + 1 is cross-checked against residue zero:
     disagreement means a bug, not data.
+
+    Semigroups of one multiplicity m are stacked into (rows x m) matrices,
+    and each of pseudo-Frobenius, dual, sum and minimal generators is one
+    row fold over them.  Ragged lists are padded with entries that cannot
+    change a fold: m among the semigroup generators, and F - F = 0, a
+    canonical generator of every row, among the canonical ones.
     """
-    m, f = s.multiplicity, s.frobenius
-    apery = np.array(s.apery)
-    pf = (-1,) if s.is_naturals else pseudo_frobenius(s).elements
-    kan_gens = f - np.array(pf[::-1])
+    semigroups = list(semigroups)
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(semigroups):
+        groups.setdefault(s.multiplicity, []).append(i)
+    reports: dict[int, TraceReport] = {}
+    for m, rows in groups.items():
+        reports.update(zip(rows, _trace_rows(m, [semigroups[i] for i in rows])))
+    return [reports[i] for i in range(len(semigroups))]
+
+
+def _trace_rows(m: int, group: list[NumericalSemigroup]) -> list[TraceReport]:
+    """``trace_reports`` of semigroups that share the multiplicity m."""
+    apery = np.array([s.apery for s in group])
+    width = max(len(s.generators) for s in group)
+    gens = np.array([s.generators + (m,) * (width - len(s.generators)) for s in group])
+    # the maximal Apery elements w, ascending: pf is w - m, and the canonical
+    # generators are F - (w - m), where the last w is F + m
+    tops = [sorted(compress(s.apery, keep)) for s, keep in zip(group, _maximal(apery, gens).tolist())]
+    depth = max(map(len, tops))
+    kan_gens = np.array([[top[-1] - w for w in top] + [0] * (depth - len(top)) for top in tops])
     trace = _sum(kan_gens, _dual(apery, kan_gens))
-    residue = int(((trace - apery) // m).sum())
-    genus = int((apery // m).sum())
-    symmetric = 2 * genus == f + 1
-    if symmetric != (residue == 0):
-        raise AssertionError(f"symmetry test and residue disagree on {s}: symmetric={symmetric}, residue={residue}")
-    return TraceReport(
-        trace=_ideal(s, trace),
-        trace_min_gens=tuple(_min_gens(trace, s.generators).tolist()),
-        pf=pf,
-        residue=residue,
-        genus=genus,
-    )
+    # trace[c] and Ap[c] share the class c, so the members of class c below
+    # the trace number trace[c] // m - Ap[c] // m
+    levels = np.add.reduce(trace // m, axis=1).tolist()
+    genera = np.add.reduce(apery // m, axis=1).tolist()
+    reports = []
+    for s, x, keep, top, level, genus in zip(
+        group, trace.tolist(), _generator_mask(trace, gens).tolist(), tops, levels, genera
+    ):
+        residue = level - genus
+        symmetric = 2 * genus == s.frobenius + 1
+        if symmetric != (residue == 0):
+            raise AssertionError(f"symmetry test and residue disagree on {s}: symmetric={symmetric}, residue={residue}")
+        # the naturals, with the one maximal Apery element 0, get pf (-1,)
+        reports.append(
+            TraceReport(
+                trace=RelativeIdeal(s, tuple(x)),
+                trace_min_gens=tuple(sorted(compress(x, keep))),
+                pf=tuple([w - m for w in top]),
+                residue=residue,
+                genus=genus,
+            )
+        )
+    return reports
 
 
 def gap_bound_check(s: NumericalSemigroup) -> TraceReport:

@@ -30,9 +30,9 @@ from .constructions import (
     verify_construction,
 )
 from .errors import GluingError, InvalidSetting
-from .ideals import TraceReport, gap_bound_check, trace_and_residue  # noqa: F401 (re-exported)
+from .ideals import TraceReport, gap_bound_check, trace_and_residue, trace_reports  # noqa: F401 (re-exported)
 from .semigroup import NumericalSemigroup, gap_profile, new_semigroup
-from .toric import ClosureVerdict, acm_and_hypothesis
+from .toric import acm_and_hypothesis
 
 # Instance count of a random, gluing or lifting scan when no limit is given.
 DEFAULT_LIMIT = 100
@@ -115,8 +115,7 @@ def info_payload(
     if slack:
         payload["slack"] = report.slack
     if toric:
-        closure = acm_and_hypothesis(s)
-        payload["closure"] = ClosureVerdict(closure.acm, closure.hypothesis, report.nearly_gorenstein).to_json()
+        payload["closure"] = acm_and_hypothesis(s).verdict(report.nearly_gorenstein).to_json()
     return payload
 
 
@@ -323,8 +322,9 @@ def summarize(records: Iterable[dict]) -> ScanSummary:
 def hunt(max_genus: int) -> tuple[list[dict], list[dict], dict[int, int]]:
     """Enumerate the genus tree and look for residues above the gap bound.
 
-    The tree draws nothing at random, so every record's seed is 0.  Returns
-    (all records sorted by id, violating records, slack histogram).
+    The tree draws nothing at random, so every record's seed is 0.  Each
+    genus level is traced in one ``trace_reports`` call.  Returns (all
+    records sorted by id, violating records, slack histogram).
     """
     from .enumeration import by_genus
 
@@ -332,8 +332,8 @@ def hunt(max_genus: int) -> tuple[list[dict], list[dict], dict[int, int]]:
     findings: list[dict] = []
     histogram: dict[int, int] = {}
     for genus, level in by_genus(max_genus):
-        for s in level:
-            rec = build_record(s, {"kind": "hunt", "genus": genus}, 0, info_payload(s, slack=True))
+        for s, report in zip(level, trace_reports(level)):
+            rec = build_record(s, {"kind": "hunt", "genus": genus}, 0, info_payload(s, slack=True, report=report))
             inv = rec["invariants_json"]
             histogram[inv["slack"]] = histogram.get(inv["slack"], 0) + 1
             records.append(rec)

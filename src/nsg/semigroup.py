@@ -12,6 +12,7 @@ for gap lists.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -25,10 +26,11 @@ from .errors import EmptyInput, GcdNotOne, InputTooLarge, TrivialSemigroup
 # lists and ideal heads with F.
 SIZE_LIMIT = 10**7
 
-# Largest temporary, in array elements, of one (m x generators) ``_fold``
-# step, here and in the ideal layer: generators are processed in blocks of at
-# most _BLOCK // m, so a maximal-embedding-dimension semigroup (about m
-# generators) needs no m * m temporary.
+# Largest temporary, in array elements, of one ``_fold`` step, here and in
+# the ideal layer: the (generators x rows x m) gather is cut by rows, and a
+# row whose own gather is larger by generators, _BLOCK // m at a time, so
+# neither a stacked genus level nor a maximal-embedding-dimension semigroup
+# (about m generators) needs an unblocked temporary.
 _BLOCK = 1 << 20
 
 __all__ = [
@@ -181,23 +183,41 @@ class PseudoFrobeniusSet:
         return len(self.elements)
 
 
-def _fold(vec: np.ndarray, shifts: np.ndarray, offsets: np.ndarray, reduce: np.ufunc) -> np.ndarray:
-    """reduce over i of vec[(c + shifts[i]) mod m] + offsets[i], for each c.
+def _fold(vecs: np.ndarray, shifts: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+    """reduce over i of vecs[j, (c + a) mod m] - a, a = shifts[j, i], for
+    each row j of the (rows x m) matrix ``vecs`` and each c: row j reduced
+    over its translates by -a, one per entry a of row j of the (rows x k)
+    matrix ``shifts``.
 
-    One gather of whole rotations per block of generators: row r of the
-    (m x m) view below is doubled[r : r + m], vec rotated left by r.
+    One gather of whole rotations per block of rows and generators: window
+    p of the view below is the m entries of the doubled rows from flat
+    position p on, so row j rotated left by r is window 2mj + r.
     """
-    m = len(vec)
-    doubled = np.concatenate((vec, vec))
-    rotations = np.ndarray((m, m), doubled.dtype, doubled, strides=doubled.strides * 2)
-    rows = max(1, _BLOCK // m)
-    out = None
-    for i in range(0, len(shifts), rows):
-        block = rotations[shifts[i : i + rows] % m]
-        block += offsets[i : i + rows, None]
-        part = reduce.reduce(block, axis=0)
-        out = part if out is None else reduce(out, part, out=out)
-    return out
+    n, m = vecs.shape
+    k = shifts.shape[1]
+    if n > 1 and n * k * m > _BLOCK:
+        rows = max(1, _BLOCK // (k * m))
+        return np.concatenate([_fold(vecs[r : r + rows], shifts[r : r + rows], reduce) for r in range(0, n, rows)])
+    if k > 1 and k * m > _BLOCK:
+        cols = max(1, _BLOCK // m)
+        return functools.reduce(reduce, (_fold(vecs, shifts[:, i : i + cols], reduce) for i in range(0, k, cols)))
+    doubled = np.concatenate((vecs, vecs), axis=1)
+    windows = np.ndarray((2 * m * n - m + 1, m), doubled.dtype, doubled, strides=doubled.strides[1:] * 2)
+    shifts = shifts.T
+    starts = shifts % m
+    if n > 1:  # row 0 starts at window 0; one-row calls skip the add
+        starts += np.arange(0, 2 * m * n, 2 * m)
+    block = windows[starts]
+    block -= shifts[:, :, None]
+    return reduce.reduce(block, axis=0)
+
+
+def _maximal(apery: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Which entries of each Apery row are maximal: w = Ap[c] is iff the
+    largest Ap[(c + g) mod m] - g over the row's generators g stays below w
+    (see ``pseudo_frobenius``).  m itself gives Ap[c] - m, which never
+    decides, so it may pad a row."""
+    return _fold(apery, gens, np.maximum) < apery
 
 
 def new_semigroup(raw_generators: Iterable[int]) -> NumericalSemigroup:
@@ -218,13 +238,12 @@ def pseudo_frobenius(s: NumericalSemigroup) -> PseudoFrobeniusSet:
     maximal under w <= w' iff w' - w is a member.
 
     Everything below an Apery element in that order is an Apery element too,
-    so w = Ap[c] is maximal iff no w + g with g a generator other than m is
-    one.  Since Ap[(c + g) mod m] <= w + g always, that is iff the largest
-    Ap[(c + g) mod m] - g over those g stays below w.
+    so w = Ap[c] is maximal iff no w + g with g a generator is one (w + m
+    never is).  Since Ap[(c + g) mod m] <= w + g always, that is iff the
+    largest Ap[(c + g) mod m] - g over the generators stays below w.
     """
     if s.is_naturals:
         raise TrivialSemigroup("the naturals have no gaps, hence no pseudo-Frobenius numbers")
-    apery = np.array(s.apery)
-    gens = np.array(s.generators[1:])
-    maximal = _fold(apery, gens, -gens, np.maximum) < apery
+    apery = np.array([s.apery])
+    maximal = _maximal(apery, np.array([s.generators]))
     return PseudoFrobeniusSet(tuple((np.sort(apery[maximal]) - s.multiplicity).tolist()))

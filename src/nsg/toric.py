@@ -455,6 +455,11 @@ class AcmHypothesisReport:
         last = len(self.gb.order.variables) - 1
         return all(b.homogeneous or last in b.support() for b in self.gb.elements)
 
+    def verdict(self, affine_ng: bool) -> ClosureVerdict:
+        """The closure verdict of this basis for an affine curve whose
+        nearly-Gorenstein flag is ``affine_ng``."""
+        return ClosureVerdict(self.acm, self.hypothesis, affine_ng)
+
 
 @dataclass(frozen=True)
 class ClosureVerdict:
@@ -500,5 +505,4 @@ def acm_and_hypothesis(s: NumericalSemigroup) -> AcmHypothesisReport:
 
 def projective_ng_verdict(s: NumericalSemigroup) -> ClosureVerdict:
     """Combine the transfer criterion with the affine residue computation."""
-    report = acm_and_hypothesis(s)
-    return ClosureVerdict(report.acm, report.hypothesis, trace_and_residue(s).nearly_gorenstein)
+    return acm_and_hypothesis(s).verdict(trace_and_residue(s).nearly_gorenstein)

@@ -54,6 +54,26 @@ def brute_pf(generators: Sequence[int], frobenius: int) -> list[int]:
     return [nu for nu in gaps if all(member(nu + s) for s in small_members)]
 
 
+def brute_residue(generators: Sequence[int], frobenius: int) -> int:
+    """Members of S outside the canonical trace K + (S - K), counted from
+    the membership DP and ``brute_pf`` alone.
+
+    K is generated by F - x over the pseudo-Frobenius numbers x, and 0 is
+    one of them, so S - K lies inside S and holds everything above F; the
+    members up to F are the only ones that can miss the trace, and only
+    trace generators up to F can reach them.
+    """
+    table = dp_membership(generators, max(2 * frobenius + 2, 0))
+
+    def member(x: int) -> bool:
+        return x > frobenius or (0 <= x and table[x])
+
+    kan = [frobenius - x for x in brute_pf(generators, frobenius)]
+    dual = [z for z in range(frobenius + 2) if all(member(z + k) for k in kan)]
+    trace_gens = {k + z for k in kan for z in dual if k + z <= frobenius}
+    return sum(1 for x in range(frobenius + 1) if member(x) and not any(member(x - t) for t in trace_gens))
+
+
 def brute_trace(generators: Sequence[int], window: int, frobenius: int) -> set[int]:
     """Exhaustive Minkowski-sum trace over the raw span [-2W, 2W].
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsg.errors import AmbientMismatch, TrivialSemigroup
@@ -15,14 +15,18 @@ from nsg.ideals import (
     ideal_sum,
     minimal_generators,
     trace_and_residue,
+    trace_reports,
 )
-from nsg.semigroup import gap_profile, new_semigroup, pseudo_frobenius
+from nsg.enumeration import by_genus
+from nsg.semigroup import _BLOCK, gap_profile, new_semigroup, pseudo_frobenius
 
 from oracles import (
     brute_dual,
     brute_ideal,
     brute_members,
     brute_minimal_ideal_generators,
+    brute_pf,
+    brute_residue,
     brute_sum,
     brute_symmetric,
     brute_trace,
@@ -196,6 +200,46 @@ class TestTraceAndResidue:
         assert r.residue == 0 and r.gorenstein and r.trace.conductor == 0
         assert r.trace_min_gens == (0,)
         assert r.gap_bound == 0 and r.question_holds
+
+
+class TestTraceReports:
+    def test_empty(self):
+        assert trace_reports([]) == []
+
+    def test_genus_tree_in_one_call(self):
+        # every multiplicity of the tree to genus 12, interleaved, in one call
+        xs = [new_semigroup([1])] + [s for _, level in by_genus(12) for s in level]
+        assert trace_reports(xs) == [trace_and_residue(s) for s in xs]
+
+
+@st.composite
+def semigroup_lists(draw):
+    """Lists with the naturals, duplicates, type-1 rows beside higher types
+    of the same multiplicity, and multiplicities that occur once."""
+    single = st.one_of(
+        semigroups(max_multiplicity=6),
+        st.integers(2, 6).map(lambda m: new_semigroup([m, m + 1])),
+        st.just(new_semigroup([1])),
+    )
+    xs = draw(st.lists(single, max_size=10))
+    if xs:
+        xs += draw(st.lists(st.sampled_from(xs), max_size=3))
+    return draw(st.permutations(xs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(semigroup_lists())
+@example([new_semigroup(g) for g in ([3, 5, 7], [1], [3, 4], [5, 6, 7, 8, 9], [3, 5, 7], [4, 5, 7])])
+def test_trace_reports_equal_one_by_one_in_input_order(xs):
+    assert trace_reports(xs) == [trace_and_residue(s) for s in xs]
+
+
+@settings(max_examples=25, deadline=None)
+@given(semigroup_lists())
+def test_trace_reports_pf_and_residue_match_oracles(xs):
+    for s, report in zip(xs, trace_reports(xs), strict=True):
+        assert report.residue == brute_residue(s.generators, s.frobenius)
+        assert list(report.pf) == ([-1] if s.is_naturals else brute_pf(s.generators, s.frobenius))
 
 
 class TestGapBoundCheck:
@@ -433,3 +477,19 @@ def test_large_frobenius_ideal_memory(operation):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_stacked_batch_memory():
+    # 1,000 rows with m = 200 and 60 generators: one unblocked (rows x
+    # generators x m) int64 gather takes 92 MiB, while a blocked one holds at
+    # most _BLOCK elements; beyond the reports it returns, the peak stays
+    # under two such blocks
+    s = new_semigroup(range(200, 260))
+    tracemalloc.start()
+    try:
+        reports = trace_reports([s] * 1000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reports[0] == reports[-1] == trace_and_residue(s)
+    assert peak - kept < 2 * 8 * _BLOCK

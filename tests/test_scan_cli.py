@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -353,6 +354,21 @@ class TestCli:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == 1 + 2 + 4 + 7
         assert all(r["invariants_json"]["slack"] >= 0 for r in rows)
+
+    def test_hunt_output_pinned(self, runner, tmp_path, monkeypatch):
+        # sha256 of the JSONL and of stdout, recorded when every semigroup
+        # was traced on its own; tracing each genus level in one batch must
+        # not change a byte
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        out = tmp_path / "hunt.jsonl"
+        result = runner.invoke(main, ["hunt", "--max-genus", "12", "--out", str(out)])
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "6bc6408f278199e277329ff14f4cc000389efef29469b545ba6560f9203f4725"
+        )
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "eb31b33a50680e40098e51b24825ccd856e51d6886d522f7a9ae9181c7a72b25"
+        )
 
     def test_hunt_invalid_genus(self, runner):
         for value in ("0", "-3"):
