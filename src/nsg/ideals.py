@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import AmbientMismatch, TrivialSemigroup
-from .semigroup import NumericalSemigroup, _fold, _maximal
+from .semigroup import NumericalSemigroup, _by_multiplicity, _fold, _maximal, _members, _row
 
 __all__ = [
     "RelativeIdeal",
@@ -71,9 +71,7 @@ class RelativeIdeal:
 
     @property
     def head(self) -> tuple[int, ...]:
-        x = np.array(self.mins)
-        v = np.arange(int(x.min()), self.conductor)
-        return tuple(v[v >= x[v % len(x)]].tolist())
+        return tuple(_members(_row(self.mins), np.array([[self.conductor]]))[0])
 
     def contains(self, x: int) -> bool:
         return x >= self.mins[x % len(self.mins)]
@@ -152,12 +150,7 @@ class TraceReport:
 
     @property
     def missing(self) -> tuple[int, ...]:
-        m = len(self.trace.mins)
-        apery = np.array(self.trace.ambient.apery)
-        counts = (np.array(self.trace.mins) - apery) // m
-        # class c misses apery[c], apery[c] + m, ..., trace[c] - m
-        steps = np.arange(self.residue) - np.repeat(np.cumsum(counts) - counts, counts)
-        return tuple(np.sort(np.repeat(apery, counts) + m * steps).tolist())
+        return tuple(_members(_row(self.trace.ambient.apery), _row(self.trace.mins))[0])
 
 
 def generated_ideal(s: NumericalSemigroup, elements: Iterable[int]) -> RelativeIdeal:
@@ -245,13 +238,7 @@ def trace_reports(semigroups: Iterable[NumericalSemigroup]) -> list[TraceReport]
     canonical generator of every row, among the canonical ones.
     """
     semigroups = list(semigroups)
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(semigroups):
-        groups.setdefault(s.multiplicity, []).append(i)
-    reports: dict[int, TraceReport] = {}
-    for m, rows in groups.items():
-        reports.update(zip(rows, _trace_rows(m, [semigroups[i] for i in rows])))
-    return [reports[i] for i in range(len(semigroups))]
+    return _by_multiplicity(semigroups, lambda m, rows: _trace_rows(m, [semigroups[i] for i in rows]))
 
 
 def _trace_rows(m: int, group: list[NumericalSemigroup]) -> list[TraceReport]:

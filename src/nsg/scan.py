@@ -18,6 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .constructions import (
     GluingSpec,
     PredictedInvariants,
@@ -31,7 +33,7 @@ from .constructions import (
 )
 from .errors import GluingError, InvalidSetting
 from .ideals import TraceReport, gap_bound_check, trace_and_residue, trace_reports  # noqa: F401 (re-exported)
-from .semigroup import NumericalSemigroup, gap_profile, new_semigroup
+from .semigroup import NumericalSemigroup, _by_multiplicity, _members, new_semigroup
 from .toric import acm_and_hypothesis
 
 # Instance count of a random, gluing or lifting scan when no limit is given.
@@ -89,34 +91,52 @@ def info_payload(
     s: NumericalSemigroup, toric: bool = False, slack: bool = False, report: TraceReport | None = None
 ) -> dict:
     """All invariants of one semigroup, JSON-ready (integers only); pass
-    ``report`` when the trace of ``s`` is already computed.  The genus is
-    the trace's; ``gap_profile`` supplies only the gap list."""
-    if report is None:
-        report = trace_and_residue(s)
-    pf_elements = () if s.is_naturals else report.pf
-    payload = {
-        "multiplicity": s.multiplicity,
-        "embedding_dimension": s.embedding_dimension,
-        "frobenius": s.frobenius,
-        "gaps": list(gap_profile(s).gaps),
-        "genus": report.genus,
-        "non_gap_count": s.frobenius + 1 - report.genus,
-        "pf": list(pf_elements),
-        "type": len(pf_elements),
-        "trace": {"head": list(report.trace.head), "conductor": report.trace.conductor},
-        "trace_min_gens": list(report.trace_min_gens),
-        "residue": report.residue,
-        "missing": list(report.missing),
-        "gorenstein": report.gorenstein,
-        "nearly_gorenstein": report.nearly_gorenstein,
-        "gap_bound": report.gap_bound,
-        "question_holds": report.question_holds,
-    }
-    if slack:
-        payload["slack"] = report.slack
+    ``report`` when the trace of ``s`` is already computed.  The one-row
+    case of ``_payloads``, plus the closure verdict when ``toric``."""
+    payload = _payloads([s], [report if report is not None else trace_and_residue(s)], slack)[0]
     if toric:
-        payload["closure"] = acm_and_hypothesis(s).verdict(report.nearly_gorenstein).to_json()
+        payload["closure"] = acm_and_hypothesis(s).verdict(payload["nearly_gorenstein"]).to_json()
     return payload
+
+
+def _payloads(semigroups: list[NumericalSemigroup], reports: list[TraceReport], slack: bool) -> list[dict]:
+    """The ``info_payload`` of each semigroup from its trace report, in input
+    order; the genus is the trace's.  For each multiplicity m, three
+    ``_members`` calls list the gaps (from c up to Ap[c]), the trace heads
+    (from the trace minimum up to the conductor) and the missing members
+    (from Ap[c] up to the trace minimum) of all its rows."""
+
+    def payload(s: NumericalSemigroup, report: TraceReport, gaps: list, head: list, missing: list) -> dict:
+        pf = [] if s.is_naturals else list(report.pf)
+        return {
+            "multiplicity": s.multiplicity,
+            "embedding_dimension": s.embedding_dimension,
+            "frobenius": s.frobenius,
+            "gaps": gaps,
+            "genus": report.genus,
+            "non_gap_count": s.frobenius + 1 - report.genus,
+            "pf": pf,
+            "type": len(pf),
+            "trace": {"head": head, "conductor": report.trace.conductor},
+            "trace_min_gens": list(report.trace_min_gens),
+            "residue": report.residue,
+            "missing": missing,
+            "gorenstein": report.gorenstein,
+            "nearly_gorenstein": report.nearly_gorenstein,
+            "gap_bound": report.gap_bound,
+            "question_holds": report.question_holds,
+            **({"slack": report.slack} if slack else {}),
+        }
+
+    def build(m: int, rows: list[int]) -> list[dict]:
+        apery = np.array([semigroups[i].apery for i in rows])
+        trace = np.array([reports[i].trace.mins for i in rows])
+        conductors = np.array([[reports[i].trace.conductor] for i in rows])
+        # Ap[c] is congruent to c, so apery % m holds each entry's class
+        lists = _members(apery % m, apery), _members(trace, conductors), _members(apery, trace)
+        return [payload(semigroups[i], reports[i], *row) for i, *row in zip(rows, *lists)]
+
+    return _by_multiplicity(semigroups, build)
 
 
 def _verification_payload(outcome: VerificationOutcome) -> dict:
@@ -323,8 +343,11 @@ def hunt(max_genus: int) -> tuple[list[dict], list[dict], dict[int, int]]:
     """Enumerate the genus tree and look for residues above the gap bound.
 
     The tree draws nothing at random, so every record's seed is 0.  Each
-    genus level is traced in one ``trace_reports`` call.  Returns (all
-    records sorted by id, violating records, slack histogram).
+    genus level is traced in one ``trace_reports`` call, and its payloads
+    (gap, trace-head and missing lists included) are built from those
+    reports in one ``_payloads`` call, after which the reports are
+    dropped.  Returns (all records sorted by id, violating records, slack
+    histogram).
     """
     from .enumeration import by_genus
 
@@ -332,9 +355,8 @@ def hunt(max_genus: int) -> tuple[list[dict], list[dict], dict[int, int]]:
     findings: list[dict] = []
     histogram: dict[int, int] = {}
     for genus, level in by_genus(max_genus):
-        for s, report in zip(level, trace_reports(level)):
-            rec = build_record(s, {"kind": "hunt", "genus": genus}, 0, info_payload(s, slack=True, report=report))
-            inv = rec["invariants_json"]
+        for s, inv in zip(level, _payloads(level, trace_reports(level), slack=True)):
+            rec = build_record(s, {"kind": "hunt", "genus": genus}, 0, inv)
             histogram[inv["slack"]] = histogram.get(inv["slack"], 0) + 1
             records.append(rec)
             if not inv["question_holds"]:

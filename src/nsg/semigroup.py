@@ -5,9 +5,10 @@ addition, containing 0, with finite complement.  Each one is stored as its
 Apery set w.r.t. the multiplicity m (the least member of every residue class
 mod m), built from the generators in O(generators * m) integer steps; the
 same pass picks out the minimal generators.  The Frobenius number,
-membership and the pseudo-Frobenius numbers follow from the Apery set;
-boolean membership arrays are materialized on demand, one byte per position,
-for gap lists.
+membership and the pseudo-Frobenius numbers follow from the Apery set.
+Lists of integers bounded class by class, such as the gaps (the v below
+Ap[v mod m]), come from one boolean grid over (quotient, residue) pairs,
+built for many rows at once by ``_members``.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmptyInput, GcdNotOne, InputTooLarge, TrivialSemigroup
 
 # Largest multiplicity and Frobenius number accepted: the Apery table and the
-# ideal layer's class-minimum vectors grow with m, membership arrays, gap
-# lists and ideal heads with F.
+# ideal layer's class-minimum vectors grow with m, gap lists, ideal heads and
+# their ``_members`` grids with F.
 SIZE_LIMIT = 10**7
 
 # Largest temporary, in array elements, of one ``_fold`` step, here and in
@@ -82,7 +83,7 @@ class NumericalSemigroup:
 
     ``apery[r]`` is the least member congruent to r mod the multiplicity m,
     so x >= 0 is a member iff x >= apery[x % m]; the Frobenius number, the
-    pseudo-Frobenius numbers and every membership array derive from it.
+    pseudo-Frobenius numbers and the gaps derive from it.
     Instances are immutable after construction and safe to share between
     threads.  Construction reduces a non-minimal input generating set, whose
     redundant members the round robin that builds ``apery`` skips, and
@@ -125,14 +126,6 @@ class NumericalSemigroup:
     def contains(self, x: int) -> bool:
         """Membership test, valid for any integer."""
         return x >= 0 and x >= self.apery[x % self.multiplicity]
-
-    def member_mask(self, size: int) -> np.ndarray:
-        """Boolean membership indicator over [0, size)."""
-        m = self.multiplicity
-        rows = -(-size // m)
-        # row q, column r stands for q * m + r, a member iff q >= apery[r] // m
-        grid = np.arange(rows)[:, None] >= np.array(self.apery) // m
-        return grid.ravel()[:size]
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
@@ -229,8 +222,49 @@ def new_semigroup(raw_generators: Iterable[int]) -> NumericalSemigroup:
     return NumericalSemigroup(raw_generators)
 
 
+def _members(lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
+    """For each row j of the (rows x m) integer matrices ``lo`` and ``hi``,
+    the increasing list of the integers v with lo[j, c] <= v < hi[j, c],
+    c = v mod m; ``hi`` may be a (rows x 1) column, one bound for all classes.
+
+    Cell (q, c) of one (depth x m) layer stands for v = q * m + c, for q
+    from floor(min lo / m) up to ceil(max hi / m), negative q too; one
+    boolean (rows x depth x m) grid compares the layer with each row's
+    class bounds, and its flat nonzero positions come out row by row, then
+    by increasing v, so nothing is sorted.
+    """
+    rows, m = lo.shape
+    start = int(lo.min()) // m * m
+    layer = np.arange(start, -(-int(hi.max()) // m) * m).reshape(-1, m)
+    values, span = np.flatnonzero((layer >= lo[:, None]) & (layer < hi[:, None])), max(layer.size, 1)
+    del layer  # freed before the Python ints are made
+    if rows > 1:  # row j's member v sits at flat position j * span + v - start
+        ends = np.searchsorted(values, np.arange(1, rows + 1) * span).tolist()
+        values %= span
+    values += start
+    values = values.tolist()
+    return [values] if rows == 1 else [values[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _by_multiplicity(semigroups: list[NumericalSemigroup], build: Callable[[int, list[int]], list]) -> list:
+    """``build(m, rows)`` for each multiplicity m, ``rows`` the positions of
+    the semigroups with multiplicity m; its outputs, one per row, are
+    returned in input order."""
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(semigroups):
+        groups.setdefault(s.multiplicity, []).append(i)
+    out = dict(item for m, rows in groups.items() for item in zip(rows, build(m, rows)))
+    return [out[i] for i in range(len(semigroups))]
+
+
+def _row(vector: tuple[int, ...]) -> np.ndarray:
+    """A (1 x len) matrix of one class vector, for one-row ``_members`` calls."""
+    return np.fromiter(vector, np.int64, len(vector))[None]
+
+
 def gap_profile(s: NumericalSemigroup) -> GapProfile:
-    return GapProfile(tuple(np.flatnonzero(~s.member_mask(s.frobenius + 1)).tolist()))
+    """The gaps: the v in class c below Ap[c]."""
+    return GapProfile(tuple(_members(np.arange(s.multiplicity)[None], _row(s.apery))[0]))
 
 
 def pseudo_frobenius(s: NumericalSemigroup) -> PseudoFrobeniusSet:
