@@ -9,8 +9,10 @@ the direct computation, 4 output I/O failure.  Every ``NsgError`` or
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from collections import Counter
+from typing import Iterator
 
 import click
 
@@ -32,6 +34,10 @@ def _parse_generators(text: str) -> NumericalSemigroup:
     return new_semigroup(gens)
 
 
+# List entries per write of ``_echo_table``.
+_ECHO_CHUNK = 4096
+
+
 def _echo_table(payload: dict, indent: str = "") -> None:
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -40,7 +46,11 @@ def _echo_table(payload: dict, indent: str = "") -> None:
         elif isinstance(value, bool):
             click.echo(f"{indent}{key}: {'yes' if value else 'no'}")
         elif isinstance(value, list):
-            click.echo(f"{indent}{key}: {', '.join(str(v) for v in value)}")
+            # written in chunks, so a long list is never joined into one string
+            click.echo(f"{indent}{key}: ", nl=False)
+            for i in range(0, len(value), _ECHO_CHUNK):
+                click.echo((", " if i else "") + ", ".join(map(str, value[i : i + _ECHO_CHUNK])), nl=False)
+            click.echo()
         else:
             click.echo(f"{indent}{key}: {value}")
 
@@ -154,10 +164,11 @@ def toric(generators: str, as_json: bool) -> None:
         click.echo(f"basis elements: {len(report.gb.elements)}")
 
 
-def _write(out: str, records: list[dict]) -> None:
-    """Append the records to ``out``; a failed write exits 4."""
+@contextlib.contextmanager
+def _writing(out: str | None) -> Iterator[None]:
+    """Exit 4 when the block fails to write ``out``."""
     try:
-        write_jsonl(out, records)
+        yield
     except OSError as exc:
         click.echo(f"cannot write {out}: {exc}", err=True)
         sys.exit(4)
@@ -179,7 +190,8 @@ def _write(out: str, records: list[dict]) -> None:
 def scan(family: str, seed: int, limit: int | None, max_multiplicity: int, out: str, verify: bool) -> None:
     """Scan a family of semigroups and append one JSONL record each."""
     records = scan_family(family, seed=seed, limit=limit, max_multiplicity=max_multiplicity, verify=verify)
-    _write(out, records)
+    with _writing(out):
+        write_jsonl(out, records)
     click.echo(summarize(records).line())
 
 
@@ -188,10 +200,9 @@ def scan(family: str, seed: int, limit: int | None, max_multiplicity: int, out: 
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Optional JSONL file for all records.")
 def hunt(max_genus: int, out: str | None) -> None:
     """Exhaustively test residue <= genus - non_gaps up to a genus bound."""
-    records, findings, histogram = run_hunt(max_genus)
-    if out is not None:
-        _write(out, records)
-    click.echo(f"checked {len(records)} semigroups up to genus {max_genus}")
+    with _writing(out):
+        checked, findings, histogram = run_hunt(max_genus, out)
+    click.echo(f"checked {checked} semigroups up to genus {max_genus}")
     click.echo("slack histogram: " + ", ".join(f"{k}: {v}" for k, v in histogram.items()))
     if findings:
         click.echo(f"VIOLATIONS FOUND: {len(findings)}")

@@ -8,13 +8,15 @@ runs byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import heapq
 import json
 import math
 import os
 import random
+import tempfile
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -247,6 +249,9 @@ def _pmap(fn: Callable, items: Iterable) -> list:
         items = list(items)
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here so that no command pays for multiprocessing at startup
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
@@ -339,31 +344,53 @@ def summarize(records: Iterable[dict]) -> ScanSummary:
     )
 
 
-def hunt(max_genus: int) -> tuple[list[dict], list[dict], dict[int, int]]:
+def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[int, int]]:
     """Enumerate the genus tree and look for residues above the gap bound.
 
     The tree draws nothing at random, so every record's seed is 0.  Each
-    genus level is traced in one ``trace_reports`` call, and its payloads
-    (gap, trace-head and missing lists included) are built from those
-    reports in one ``_payloads`` call, after which the reports are
-    dropped.  Returns (all records sorted by id, violating records, slack
+    multiplicity group of a genus level is traced in one ``trace_reports``
+    call and its payloads built in one ``_payloads`` call; each record is
+    encoded as soon as it is built, and only violating records are kept.
+    With ``out``, each level's lines are sorted (by id, then by canonical
+    JSON, as ``_sort_records`` orders records) into one anonymous temporary
+    file, and the runs are merged into ``out``, appended to and opened only
+    then.  Returns (records checked, violating records sorted by id, slack
     histogram).
     """
     from .enumeration import by_genus
 
-    records: list[dict] = []
+    checked = 0
     findings: list[dict] = []
-    histogram: dict[int, int] = {}
-    for genus, level in by_genus(max_genus):
-        for s, inv in zip(level, _payloads(level, trace_reports(level), slack=True)):
-            rec = build_record(s, {"kind": "hunt", "genus": genus}, 0, inv)
-            histogram[inv["slack"]] = histogram.get(inv["slack"], 0) + 1
-            records.append(rec)
-            if not inv["question_holds"]:
-                findings.append(rec)
-    _sort_records(records)
+    histogram: Counter = Counter()
+    with contextlib.ExitStack() as stack:
+        runs = []
+        for genus, level in by_genus(max_genus):
+            checked += len(level)
+            groups: dict[int, list[NumericalSemigroup]] = {}
+            for s in level:
+                groups.setdefault(s.multiplicity, []).append(s)
+            lines = []
+            for group in groups.values():
+                for s, inv in zip(group, _payloads(group, trace_reports(group), slack=True)):
+                    histogram[inv["slack"]] += 1
+                    rec = build_record(s, {"kind": "hunt", "genus": genus}, 0, inv)
+                    if not inv["question_holds"]:
+                        findings.append(rec)
+                    if out is not None:
+                        # sort key first: the 16-hex-digit id and a space
+                        lines.append(f"{rec['id']} {canonical_json(rec)}\n")
+            if out is not None:
+                lines.sort()
+                run = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                run.writelines(lines)
+                run.seek(0)
+                runs.append(run)
+                lines.clear()  # so the last level's lines are not held through the merge
+        if out is not None:
+            with open(out, "a", encoding="utf-8") as fh:
+                fh.writelines(line[17:] for line in heapq.merge(*runs))
     _sort_records(findings)
-    return records, findings, dict(sorted(histogram.items()))
+    return checked, findings, dict(sorted(histogram.items()))
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:

@@ -228,15 +228,21 @@ def _members(lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
     c = v mod m; ``hi`` may be a (rows x 1) column, one bound for all classes.
 
     Cell (q, c) of one (depth x m) layer stands for v = q * m + c, for q
-    from floor(min lo / m) up to ceil(max hi / m), negative q too; one
-    boolean (rows x depth x m) grid compares the layer with each row's
-    class bounds, and its flat nonzero positions come out row by row, then
-    by increasing v, so nothing is sorted.
+    from floor(min lo / m) up to ceil(max hi / m) over the open classes
+    (lo < hi), negative q too; one boolean (rows x depth x m) grid compares
+    the layer with each row's class bounds, and its flat nonzero positions
+    come out row by row, then by increasing v, so nothing is sorted.  With
+    no open class (a residue-0 ``missing`` row, say) nothing is built.
     """
     rows, m = lo.shape
-    start = int(lo.min()) // m * m
-    layer = np.arange(start, -(-int(hi.max()) // m) * m).reshape(-1, m)
-    values, span = np.flatnonzero((layer >= lo[:, None]) & (layer < hi[:, None])), max(layer.size, 1)
+    open_classes = lo < hi
+    open_lo = lo[open_classes]
+    if not open_lo.size:
+        return [[] for _ in range(rows)]
+    start = int(open_lo.min()) // m * m
+    end = int(np.where(open_classes, hi, start).max())  # start is below every open hi
+    layer = np.arange(start, -(-end // m) * m).reshape(-1, m)
+    values, span = np.flatnonzero((layer >= lo[:, None]) & (layer < hi[:, None])), layer.size
     del layer  # freed before the Python ints are made
     if rows > 1:  # row j's member v sits at flat position j * span + v - start
         ends = np.searchsorted(values, np.arange(1, rows + 1) * span).tolist()

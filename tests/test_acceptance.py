@@ -1,6 +1,7 @@
 """Acceptance suite: one test per shipped criterion, each printing a
 PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`."""
 
+import json
 import math
 import random
 import time
@@ -183,8 +184,10 @@ def test_criterion_8_arithmetic_grid():
     report(8, ok, f"{checked} grid instances all satisfy acm, hypothesis, residue <= 1 in {elapsed:.1f}s")
 
 
-def test_criterion_9_exhaustive_hunt():
-    records, findings, histogram = hunt(8)
+def test_criterion_9_exhaustive_hunt(tmp_path):
+    out = tmp_path / "hunt.jsonl"
+    checked, findings, histogram = hunt(8, str(out))
+    records = [json.loads(line) for line in out.read_text().splitlines()]
     per_genus: dict[int, int] = {}
     gap_sets: dict[int, set] = {}
     for r in records:
@@ -192,7 +195,7 @@ def test_criterion_9_exhaustive_hunt():
         per_genus[g] = per_genus.get(g, 0) + 1
         gap_sets.setdefault(g, set()).add(tuple(r["invariants_json"]["gaps"]))
     counts = [per_genus.get(g, 0) for g in range(1, 9)]
-    ok = findings == [] and counts == [1, 2, 4, 7, 12, 23, 39, 67]
+    ok = findings == [] and counts == [1, 2, 4, 7, 12, 23, 39, 67] and checked == len(records)
     for genus in range(1, 7):
         expected = {tuple(sorted(gs)) for gs in gap_sets_by_genus(genus)}
         ok &= gap_sets[genus] == expected

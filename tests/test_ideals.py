@@ -459,6 +459,21 @@ def test_maximal_embedding_dimension_pseudo_frobenius_memory():
     assert peak < 32 * 2**20
 
 
+def test_residue_zero_missing_list_memory():
+    # <3001, 3331> is symmetric, so its trace minima are its Apery set and
+    # no class is open: a layer spanning [0, max Ap) anyway took 95 MiB to
+    # list nothing
+    report = trace_and_residue(new_semigroup([3001, 3331]))
+    tracemalloc.start()
+    try:
+        missing = report.missing
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (missing, report.residue) == ((), 0)
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("operation", ["trace_and_residue", "canonical_ideal", "dual_ideal"])
 def test_large_frobenius_ideal_memory(operation):
     # F = 3,025,335 but m = 5,003: on class-minimum vectors each operation

@@ -1,6 +1,13 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -11,7 +18,9 @@ import nsg.scan as scan_mod
 import nsg.semigroup as semigroup_mod
 from nsg.cli import main
 from nsg.constructions import glue, lift
+from nsg.enumeration import by_genus
 from nsg.scan import (
+    build_record,
     canonical_json,
     hunt,
     info_payload,
@@ -155,15 +164,32 @@ class TestScanFamilies:
         assert len(baseline) == 12
         assert baseline == pooled
 
+    def test_cli_import_leaves_the_process_pool_out(self):
+        # the pool is imported only when a scan runs more than one worker
+        src = str(Path(scan_mod.__file__).parents[1])
+        code = "import sys, nsg.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert result.stdout == "False\n"
+
     @pytest.mark.parametrize("family", ["random", "arithmetic", "gluing", "lifting"])
     def test_negative_limit_refused(self, family):
         with pytest.raises(ValueError):
             scan_family(family, seed=0, limit=-1, max_multiplicity=5)
 
 
+def hunt_records(tmp_path, max_genus: int) -> tuple[list[dict], list[dict], dict[int, int]]:
+    """``hunt(max_genus, out)`` and the records it wrote to ``out``."""
+    out = tmp_path / "hunt.jsonl"
+    checked, findings, histogram = hunt(max_genus, str(out))
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert checked == len(records)
+    return records, findings, histogram
+
+
 class TestHunt:
-    def test_counts_match_known_sequence(self):
-        records, findings, histogram = hunt(8)
+    def test_counts_match_known_sequence(self, tmp_path):
+        records, findings, histogram = hunt_records(tmp_path, 8)
         assert findings == []
         per_genus = {}
         for r in records:
@@ -171,9 +197,9 @@ class TestHunt:
         assert [per_genus[g] for g in range(1, 9)] == [1, 2, 4, 7, 12, 23, 39, 67]
         assert all(slack >= 0 for slack in histogram)
 
-    def test_counts_match_gap_set_enumeration(self):
+    def test_counts_match_gap_set_enumeration(self, tmp_path):
         # independent brute force over raw gap sets for small genus
-        records, _, _ = hunt(6)
+        records, _, _ = hunt_records(tmp_path, 6)
         per_genus = {}
         for r in records:
             g = r["provenance"]["genus"]
@@ -182,12 +208,52 @@ class TestHunt:
             expected = {tuple(sorted(gs)) for gs in gap_sets_by_genus(genus)}
             assert per_genus[genus] == expected
 
-    def test_records_carry_slack(self):
-        records, _, _ = hunt(4)
+    def test_records_carry_slack(self, tmp_path):
+        records, _, _ = hunt_records(tmp_path, 4)
         for r in records:
             inv = r["invariants_json"]
             assert inv["slack"] == inv["gap_bound"] - inv["residue"]
             assert inv["slack"] >= 0
+
+    def test_stream_matches_one_by_one_records(self, tmp_path):
+        # oracle: every record built from its own info_payload, sorted by id
+        # and appended after what the file already held
+        expected = sorted(
+            (
+                build_record(s, {"kind": "hunt", "genus": genus}, 0, info_payload(s, slack=True))
+                for genus, level in by_genus(10)
+                for s in level
+            ),
+            key=lambda r: r["id"],
+        )
+        out = tmp_path / "hunt.jsonl"
+        out.write_text("kept\n")
+        checked, findings, histogram = hunt(10, str(out))
+        assert out.read_text().splitlines() == ["kept", *(canonical_json(r) for r in expected)]
+        assert (checked, findings) == (len(expected), [])
+        assert histogram == dict(sorted(Counter(r["invariants_json"]["slack"] for r in expected).items()))
+        assert hunt(10) == (checked, findings, histogram)
+
+    def test_no_run_file_is_left(self, tmp_path, monkeypatch):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        monkeypatch.setenv("TMPDIR", str(runs))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+        assert tempfile.gettempdir() == str(runs)
+        hunt(6, str(tmp_path / "hunt.jsonl"))
+        assert list(runs.iterdir()) == []
+
+    def test_records_are_not_held(self, tmp_path):
+        # holding every record until the end peaks near 2.9 MiB here, and
+        # holding every encoded line near 1.1 MiB; the stream holds one
+        # level's lines and peaks near 0.7 MiB
+        tracemalloc.start()
+        try:
+            hunt(12, str(tmp_path / "hunt.jsonl"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCli:
