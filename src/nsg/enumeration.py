@@ -4,34 +4,80 @@ Children of a semigroup are obtained by deleting one minimal generator
 larger than the Frobenius number; every semigroup of positive genus has a
 unique parent (put its Frobenius number back), so the tree enumerates each
 semigroup exactly once.
+
+A level of the tree is held as one integer Apery matrix per multiplicity m,
+row j the Apery set of one semigroup indexed by residue, plus a boolean mask
+of the classes c != 0 whose Apery element is a minimal generator: Ap[c] is
+iff it is no Ap[c1] + Ap[(c - c1) mod m] with c1 not in {0, c}.  Deleting
+such a generator g = Ap[c] > F keeps m and adds m to Ap[c] (the Apery set of
+S minus {g}; Rosales and Garcia-Sanchez, *Numerical Semigroups*, 2009), so a
+child is its parent's row with one entry raised.  Deleting m itself happens
+only in the ordinary semigroup {0, m, m + 1, ...}, whose child is the next
+ordinary one: each genus g adds that row, m = g + 1 and
+Ap = (0, m + 1, ..., 2m - 1), directly.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .semigroup import NumericalSemigroup, new_semigroup
+import numpy as np
+
+from .semigroup import NumericalSemigroup, _fold, _semigroup, _sorted_rows, new_semigroup
 
 __all__ = ["children", "by_genus"]
 
 
+def _minimal(apery: np.ndarray) -> np.ndarray:
+    """The minimal-generator mask of each row of the Apery matrix ``apery``,
+    class 0 (where the generator m sits) left out, from one blocked
+    ``_fold``: a multiple of m above every entry, put in class 0, drops the
+    terms c1 = 0 and c1 = c of the decomposition test."""
+    split = apery.copy()
+    split[:, 0] = apery.shape[1] << 32  # entries stay below 2 * SIZE_LIMIT < 2**32
+    return (apery < _fold(split, -split, np.minimum)) & (np.arange(apery.shape[1]) > 0)
+
+
+def _step(level: dict[int, tuple[np.ndarray, np.ndarray]]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The children of every row of ``level`` ({m: (Apery matrix, mask)}), as
+    a level: per parent and class, the parent's row with Ap[c] + m in place
+    of each minimal generator Ap[c] above its Frobenius number, and the next
+    ordinary semigroup when a row is ordinary (F < m)."""
+    rows = {}
+    for m, (apery, mask) in level.items():
+        top = apery.max(axis=1)  # F + m
+        parents, classes = np.nonzero(mask & (apery > top[:, None] - m))
+        rows[m] = apery[parents]
+        rows[m][np.arange(len(parents)), classes] += m
+        if (top < 2 * m).any():  # ordinary rows have the largest m of a tree level: m + 1 is free
+            rows[m + 1] = np.r_[0, m + 2 : 2 * m + 2][None]
+    return {m: (apery, _minimal(apery)) for m, apery in rows.items() if len(apery)}
+
+
+def _levels(max_genus: int) -> Iterator[tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]]:
+    """Yield (genus, {m: (Apery matrix, minimal-generator mask)}) for genus
+    1..max_genus; only one level is held at a time."""
+    level = {1: (np.zeros((1, 1), np.int64), np.zeros((1, 1), bool))}  # <1>
+    for genus in range(1, max_genus + 1):
+        level = _step(level)
+        yield genus, level
+
+
 def children(s: NumericalSemigroup) -> list[NumericalSemigroup]:
-    """All semigroups obtained by deleting one eligible minimal generator."""
-    out = []
-    for g in s.generators:
-        if g > s.frobenius:
-            # generating set of the deletion: keep the others, then add enough
-            # multiples and translates of g to recover everything above it
-            gens = [h for h in s.generators if h != g]
-            gens += [g + m for m in s.generators]
-            gens += [2 * g, 3 * g]
-            out.append(new_semigroup(gens))
-    return out
+    """All semigroups obtained by deleting one eligible minimal generator:
+    the level step on the one row of ``s``, each child built by
+    ``new_semigroup`` from its minimal generators."""
+    apery = np.array([s.apery])
+    level = _step({s.multiplicity: (apery, _minimal(apery))})
+    return [new_semigroup([m, *gens]) for m, (apery, mask) in level.items() for gens in _sorted_rows(apery, mask)]
 
 
 def by_genus(max_genus: int) -> Iterator[tuple[int, list[NumericalSemigroup]]]:
-    """Yield (genus, all semigroups of that genus) for genus 1..max_genus."""
-    level = [new_semigroup([1])]
-    for genus in range(1, max_genus + 1):
-        level = [child for s in level for child in children(s)]
-        yield genus, level
+    """Yield (genus, all semigroups of that genus) for genus 1..max_genus,
+    grouped by multiplicity."""
+    for genus, level in _levels(max_genus):
+        yield genus, [
+            _semigroup(tuple(row), (m, *gens))
+            for m, (apery, mask) in level.items()
+            for row, gens in zip(apery.tolist(), _sorted_rows(apery, mask))
+        ]

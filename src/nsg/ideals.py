@@ -18,20 +18,22 @@ cost whatever F is:
   a + J[(c - a) mod m].
 
 The head (the elements below the conductor), an O(F) list, is computed
-only when it is read.  ``trace_reports`` stacks the vectors of semigroups
-with one multiplicity into a matrix and runs each step on all its rows.
+only when it is read.  ``trace_columns`` takes the Apery vectors of many
+semigroups of one multiplicity as one matrix and runs each step of the
+trace on all its rows; ``trace_reports`` and ``trace_and_residue`` wrap its
+columns into ``TraceReport`` objects, and ``nsg hunt`` reads them as they
+are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable
 
 import numpy as np
 
 from .errors import AmbientMismatch, TrivialSemigroup
-from .semigroup import NumericalSemigroup, _by_multiplicity, _fold, _maximal, _members, _row
+from .semigroup import NumericalSemigroup, _fold, _maximal, _members, _row, _sorted_rows
 
 __all__ = [
     "RelativeIdeal",
@@ -43,6 +45,7 @@ __all__ = [
     "minimal_generators",
     "trace_and_residue",
     "trace_reports",
+    "trace_columns",
     "gap_bound_check",
 ]
 
@@ -55,6 +58,11 @@ class RelativeIdeal:
     ``ambient``, so x is in the ideal iff x >= mins[x % m].  The conductor
     (everything from it on is in the ideal, the element before it is not)
     and the head (the elements below the conductor) are derived on demand.
+    A vector is accepted only if each mins[c] is congruent to c and the
+    vector is closed under adding each generator g of ``ambient``,
+    mins[(c + g) mod m] <= mins[c] + g, which makes I + S lie inside I.
+    The ideals this module computes are closed by construction and skip
+    the check (``_ideal``).
     """
 
     ambient: NumericalSemigroup
@@ -64,6 +72,9 @@ class RelativeIdeal:
         m = self.ambient.multiplicity
         if len(self.mins) != m:
             raise ValueError(f"need one class minimum per residue mod {m}, got {len(self.mins)}")
+        x = _row(self.mins)
+        if not ((x % m == np.arange(m)) & (x <= _sum(np.array([self.ambient.generators]), x))).all():
+            raise ValueError(f"{self.mins} is not a class-minimum vector closed under the generators of {self.ambient}")
 
     @property
     def conductor(self) -> int:
@@ -78,7 +89,11 @@ class RelativeIdeal:
 
 
 def _ideal(s: NumericalSemigroup, x: np.ndarray) -> RelativeIdeal:
-    return RelativeIdeal(s, tuple(x.tolist()))
+    """The ideal of a class-minimum vector x that is closed by construction,
+    made without the closure check of ``RelativeIdeal``."""
+    ideal = object.__new__(RelativeIdeal)
+    vars(ideal).update(ambient=s, mins=tuple(x.tolist()))
+    return ideal
 
 
 def _generator_mask(x: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -218,63 +233,71 @@ def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
 def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
     """Canonical trace ideal, residue, and genus: ``trace_reports([s])[0]``,
     without the grouping by multiplicity."""
-    return _trace_rows(s.multiplicity, [s])[0]
+    return _reports(s.multiplicity, [s])[0]
 
 
 def trace_reports(semigroups: Iterable[NumericalSemigroup]) -> list[TraceReport]:
-    """The ``TraceReport`` of each semigroup, in input order.
-
-    The trace is K + (S - K), all on class-minimum vectors, where K is
-    generated by F - x over the pseudo-Frobenius numbers x.  The residue
-    counts the members below the trace's class minima; genus comes from
-    Selmer's formula (the sum of Ap[c] // m), and the independent symmetry
-    count 2 * genus == F + 1 is cross-checked against residue zero:
-    disagreement means a bug, not data.
-
-    Semigroups of one multiplicity m are stacked into (rows x m) matrices,
-    and each of pseudo-Frobenius, dual, sum and minimal generators is one
-    row fold over them.  Ragged lists are padded with entries that cannot
-    change a fold: m among the semigroup generators, and F - F = 0, a
-    canonical generator of every row, among the canonical ones.
-    """
+    """The ``TraceReport`` of each semigroup, in input order: the semigroups
+    of each multiplicity go through one ``trace_columns`` call."""
     semigroups = list(semigroups)
-    return _by_multiplicity(semigroups, lambda m, rows: _trace_rows(m, [semigroups[i] for i in rows]))
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(semigroups):
+        groups.setdefault(s.multiplicity, []).append(i)
+    out = {i: r for m, rows in groups.items() for i, r in zip(rows, _reports(m, [semigroups[i] for i in rows]))}
+    return [out[i] for i in range(len(semigroups))]
 
 
-def _trace_rows(m: int, group: list[NumericalSemigroup]) -> list[TraceReport]:
+def _reports(m: int, group: list[NumericalSemigroup]) -> list[TraceReport]:
     """``trace_reports`` of semigroups that share the multiplicity m."""
-    apery = np.array([s.apery for s in group])
     width = max(len(s.generators) for s in group)
     gens = np.array([s.generators + (m,) * (width - len(s.generators)) for s in group])
-    # the maximal Apery elements w, ascending: pf is w - m, and the canonical
-    # generators are F - (w - m), where the last w is F + m
-    tops = [sorted(compress(s.apery, keep)) for s, keep in zip(group, _maximal(apery, gens).tolist())]
-    depth = max(map(len, tops))
-    kan_gens = np.array([[top[-1] - w for w in top] + [0] * (depth - len(top)) for top in tops])
+    trace, trace_gens, pfs, residues, genera = trace_columns(m, np.array([s.apery for s in group]), gens)
+    return [
+        TraceReport(_ideal(s, x), tuple(tg), tuple(pf), residue, genus)
+        for s, x, tg, pf, residue, genus in zip(group, trace, trace_gens, pfs, residues, genera)
+    ]
+
+
+def trace_columns(
+    m: int, apery: np.ndarray, gens: np.ndarray
+) -> tuple[np.ndarray, list[list[int]], list[list[int]], list[int], list[int]]:
+    """The canonical trace of the semigroups of multiplicity m whose Apery
+    sets are the rows of the (rows x m) integer matrix ``apery`` and whose
+    minimal generators are the matching rows of ``gens`` (padded with m), as
+    columns: the (rows x m) trace class-minimum matrix, and per row the
+    sorted trace minimal generators, the pseudo-Frobenius numbers, the
+    residue and the genus.
+
+    The trace is K + (S - K), all on class-minimum vectors, where K is
+    generated by F - x over the pseudo-Frobenius numbers x; each of
+    pseudo-Frobenius, dual, sum and minimal generators is one row fold.
+    The canonical generators are padded with F - F = 0, a canonical
+    generator of every row.  The residue counts the members below the
+    trace's class minima; genus comes from Selmer's formula (the sum of
+    Ap[c] // m), and the independent symmetry count 2 * genus == F + 1 is
+    cross-checked against residue zero on every row: disagreement means a
+    bug, not data.  The naturals, with the one maximal Apery element 0, get
+    the pseudo-Frobenius list [-1].
+    """
+    maximal = _maximal(apery, gens)
+    pfs = _sorted_rows(apery - m, maximal)
+    depth = max(map(len, pfs))
+    # the largest pseudo-Frobenius number is F
+    kan_gens = np.array([[pf[-1] - x for x in pf] + [0] * (depth - len(pf)) for pf in pfs])
     trace = _sum(kan_gens, _dual(apery, kan_gens))
     # trace[c] and Ap[c] share the class c, so the members of class c below
-    # the trace number trace[c] // m - Ap[c] // m
-    levels = np.add.reduce(trace // m, axis=1).tolist()
-    genera = np.add.reduce(apery // m, axis=1).tolist()
-    reports = []
-    for s, x, keep, top, level, genus in zip(
-        group, trace.tolist(), _generator_mask(trace, gens).tolist(), tops, levels, genera
-    ):
-        residue = level - genus
-        symmetric = 2 * genus == s.frobenius + 1
-        if symmetric != (residue == 0):
-            raise AssertionError(f"symmetry test and residue disagree on {s}: symmetric={symmetric}, residue={residue}")
-        # the naturals, with the one maximal Apery element 0, get pf (-1,)
-        reports.append(
-            TraceReport(
-                trace=RelativeIdeal(s, tuple(x)),
-                trace_min_gens=tuple(sorted(compress(x, keep))),
-                pf=tuple([w - m for w in top]),
-                residue=residue,
-                genus=genus,
-            )
-        )
-    return reports
+    # the trace number (trace[c] - Ap[c]) / m; Selmer's sum of Ap[c] // m is
+    # (sum of Ap[c] - m(m - 1)/2) / m
+    residues, genera = [], []
+    sums = zip(np.add.reduce(trace, axis=1).tolist(), np.add.reduce(apery, axis=1).tolist())
+    for j, (pf, (traced, total)) in enumerate(zip(pfs, sums)):
+        residue, genus = (traced - total) // m, (total - m * (m - 1) // 2) // m
+        if (2 * genus == pf[-1] + 1) != (residue == 0):
+            s = f"NumericalSemigroup({sorted(set(gens[j].tolist()))})"
+            raise AssertionError(f"symmetry test and residue disagree on {s}: genus {genus}, residue {residue}")
+        residues.append(residue)
+        genera.append(genus)
+    return trace, _sorted_rows(trace, _generator_mask(trace, gens)), pfs, residues, genera
 
 
 def gap_bound_check(s: NumericalSemigroup) -> TraceReport:

@@ -34,8 +34,8 @@ from .constructions import (
     verify_construction,
 )
 from .errors import GluingError, InvalidSetting
-from .ideals import TraceReport, gap_bound_check, trace_and_residue, trace_reports  # noqa: F401 (re-exported)
-from .semigroup import NumericalSemigroup, _by_multiplicity, _members, new_semigroup
+from .ideals import TraceReport, gap_bound_check, trace_and_residue, trace_columns  # noqa: F401 (re-exported)
+from .semigroup import NumericalSemigroup, _members, _row, _sorted_rows, new_semigroup
 from .toric import acm_and_hypothesis
 
 # Instance count of a random, gluing or lifting scan when no limit is given.
@@ -95,50 +95,54 @@ def info_payload(
     """All invariants of one semigroup, JSON-ready (integers only); pass
     ``report`` when the trace of ``s`` is already computed.  The one-row
     case of ``_payloads``, plus the closure verdict when ``toric``."""
-    payload = _payloads([s], [report if report is not None else trace_and_residue(s)], slack)[0]
+    r = report or trace_and_residue(s)
+    columns = np.array([r.trace.mins]), [list(r.trace_min_gens)], [list(r.pf)], [r.residue], [r.genus]
+    payload = _payloads(s.multiplicity, _row(s.apery), [s.generators], columns, slack)[0]
     if toric:
         payload["closure"] = acm_and_hypothesis(s).verdict(payload["nearly_gorenstein"]).to_json()
     return payload
 
 
-def _payloads(semigroups: list[NumericalSemigroup], reports: list[TraceReport], slack: bool) -> list[dict]:
-    """The ``info_payload`` of each semigroup from its trace report, in input
-    order; the genus is the trace's.  For each multiplicity m, three
-    ``_members`` calls list the gaps (from c up to Ap[c]), the trace heads
-    (from the trace minimum up to the conductor) and the missing members
-    (from Ap[c] up to the trace minimum) of all its rows."""
-
-    def payload(s: NumericalSemigroup, report: TraceReport, gaps: list, head: list, missing: list) -> dict:
-        pf = [] if s.is_naturals else list(report.pf)
-        return {
-            "multiplicity": s.multiplicity,
-            "embedding_dimension": s.embedding_dimension,
-            "frobenius": s.frobenius,
-            "gaps": gaps,
-            "genus": report.genus,
-            "non_gap_count": s.frobenius + 1 - report.genus,
-            "pf": pf,
-            "type": len(pf),
-            "trace": {"head": head, "conductor": report.trace.conductor},
-            "trace_min_gens": list(report.trace_min_gens),
-            "residue": report.residue,
-            "missing": missing,
-            "gorenstein": report.gorenstein,
-            "nearly_gorenstein": report.nearly_gorenstein,
-            "gap_bound": report.gap_bound,
-            "question_holds": report.question_holds,
-            **({"slack": report.slack} if slack else {}),
-        }
-
-    def build(m: int, rows: list[int]) -> list[dict]:
-        apery = np.array([semigroups[i].apery for i in rows])
-        trace = np.array([reports[i].trace.mins for i in rows])
-        conductors = np.array([[reports[i].trace.conductor] for i in rows])
-        # Ap[c] is congruent to c, so apery % m holds each entry's class
-        lists = _members(apery % m, apery), _members(trace, conductors), _members(apery, trace)
-        return [payload(semigroups[i], reports[i], *row) for i, *row in zip(rows, *lists)]
-
-    return _by_multiplicity(semigroups, build)
+def _payloads(m: int, apery: np.ndarray, generators: list[tuple[int, ...]], columns: tuple, slack: bool) -> list[dict]:
+    """The ``info_payload`` of each semigroup of multiplicity m, from its
+    Apery row, its minimal generators and its row of ``columns`` (as
+    ``trace_columns`` returns them).  Three ``_members`` calls list the gaps
+    (from c up to Ap[c]), the trace heads (from the trace minimum up to the
+    conductor) and the missing members (from Ap[c] up to the trace minimum)
+    of all the rows."""
+    trace, trace_gens, pfs, residues, genera = columns
+    conductors = trace.max(axis=1, keepdims=True) - m + 1
+    # Ap[c] is congruent to c, so apery % m holds each entry's class
+    lists = _members(apery % m, apery), _members(trace, conductors), _members(apery, trace)
+    out = []
+    for gens, conductor, tg, pf, residue, genus, gaps, head, missing in zip(
+        generators, conductors[:, 0].tolist(), trace_gens, pfs, residues, genera, *lists
+    ):
+        f = pf[-1]  # the largest pseudo-Frobenius number, -1 for the naturals
+        gap_bound = 2 * genus - f - 1
+        pf = [] if m == 1 else pf  # the naturals' pf (-1,) is not listed
+        out.append(
+            {
+                "multiplicity": m,
+                "embedding_dimension": len(gens),
+                "frobenius": f,
+                "gaps": gaps,
+                "genus": genus,
+                "non_gap_count": f + 1 - genus,
+                "pf": pf,
+                "type": len(pf),
+                "trace": {"head": head, "conductor": conductor},
+                "trace_min_gens": tg,
+                "residue": residue,
+                "missing": missing,
+                "gorenstein": residue == 0,
+                "nearly_gorenstein": residue <= 1,
+                "gap_bound": gap_bound,
+                "question_holds": residue <= gap_bound,
+                **({"slack": gap_bound - residue} if slack else {}),
+            }
+        )
+    return out
 
 
 def _verification_payload(outcome: VerificationOutcome) -> dict:
@@ -150,13 +154,14 @@ def _verification_payload(outcome: VerificationOutcome) -> dict:
 
 
 def build_record(
-    s: NumericalSemigroup, provenance: dict, seed: int, invariants: dict, verification: dict | None = None
+    generators: Sequence[int], provenance: dict, seed: int, invariants: dict, verification: dict | None = None
 ) -> dict:
-    """JSON-ready scan record; the ``verification`` key is present only
-    when a verification is given."""
+    """JSON-ready scan record of the semigroup with these sorted minimal
+    generators; the ``verification`` key is present only when a
+    verification is given."""
     record = {
-        "id": record_id(s.generators),
-        "generators": list(s.generators),
+        "id": record_id(generators),
+        "generators": list(generators),
         "provenance": provenance,
         "invariants_json": invariants,
         "timestamp": _timestamp(),
@@ -173,10 +178,10 @@ def _construction_record(
     """JSON record of a gluing or lifting, verified against ``predicted``
     when one is given; the trace computed to verify it is the record's too."""
     if predicted is None:
-        return build_record(built, provenance, seed, info_payload(built))
+        return build_record(built.generators, provenance, seed, info_payload(built))
     outcome = verify_construction(predicted, built)
     invariants = info_payload(built, report=outcome.computed)
-    return build_record(built, provenance, seed, invariants, _verification_payload(outcome))
+    return build_record(built.generators, provenance, seed, invariants, _verification_payload(outcome))
 
 
 def random_semigroup(rng: random.Random, max_multiplicity: int) -> NumericalSemigroup:
@@ -204,16 +209,11 @@ def _draw_gluing(rng: random.Random, max_multiplicity: int) -> tuple[GluingSpec,
     while True:
         left = random_semigroup(rng, max_multiplicity)
         right = random_semigroup(rng, max_multiplicity)
-        lam_pool = [
-            x
-            for x in range(2 * left.multiplicity, 4 * left.multiplicity + 1)
-            if left.contains(x) and x not in left.generators
-        ]
-        mu_pool = [
-            x
-            for x in range(2 * right.multiplicity, 4 * right.multiplicity + 1)
-            if right.contains(x) and x not in right.generators
-        ]
+        # the scalars: non-generator members in [2m, 4m] of each factor
+        lam_pool, mu_pool = (
+            [x for x in range(2 * f.multiplicity, 4 * f.multiplicity + 1) if f.contains(x) and x not in f.generators]
+            for f in (left, right)
+        )
         for _ in range(16):
             spec = GluingSpec(left, right, rng.choice(lam_pool), rng.choice(mu_pool))
             try:
@@ -258,13 +258,14 @@ def _pmap(fn: Callable, items: Iterable) -> list:
 
 def _random_worker(args: tuple) -> dict:
     s, seed = args
-    return build_record(s, {"kind": "random"}, seed, info_payload(s))
+    return build_record(s.generators, {"kind": "random"}, seed, info_payload(s))
 
 
 def _arithmetic_worker(args: tuple) -> dict:
     n1, d, e, seed = args
     s = arithmetic_semigroup(n1, d, e)
-    return build_record(s, {"kind": "arithmetic", "n1": n1, "d": d, "e": e}, seed, info_payload(s, toric=True))
+    provenance = {"kind": "arithmetic", "n1": n1, "d": d, "e": e}
+    return build_record(s.generators, provenance, seed, info_payload(s, toric=True))
 
 
 def _gluing_worker(args: tuple) -> dict:
@@ -348,32 +349,30 @@ def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[
     """Enumerate the genus tree and look for residues above the gap bound.
 
     The tree draws nothing at random, so every record's seed is 0.  Each
-    multiplicity group of a genus level is traced in one ``trace_reports``
-    call and its payloads built in one ``_payloads`` call; each record is
-    encoded as soon as it is built, and only violating records are kept.
+    genus level comes as one Apery matrix and minimal-generator mask per
+    multiplicity, which goes through one ``trace_columns`` call and one
+    ``_payloads`` call; no semigroup or trace object is built.  Each record
+    is encoded as soon as it is built, and only violating records are kept.
     With ``out``, each level's lines are sorted (by id, then by canonical
     JSON, as ``_sort_records`` orders records) into one anonymous temporary
     file, and the runs are merged into ``out``, appended to and opened only
     then.  Returns (records checked, violating records sorted by id, slack
     histogram).
     """
-    from .enumeration import by_genus
+    from .enumeration import _levels
 
-    checked = 0
     findings: list[dict] = []
     histogram: Counter = Counter()
     with contextlib.ExitStack() as stack:
         runs = []
-        for genus, level in by_genus(max_genus):
-            checked += len(level)
-            groups: dict[int, list[NumericalSemigroup]] = {}
-            for s in level:
-                groups.setdefault(s.multiplicity, []).append(s)
+        for genus, level in _levels(max_genus):
             lines = []
-            for group in groups.values():
-                for s, inv in zip(group, _payloads(group, trace_reports(group), slack=True)):
+            for m, (apery, mask) in level.items():
+                generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
+                columns = trace_columns(m, apery, np.where(mask, apery, m))
+                for g, inv in zip(generators, _payloads(m, apery, generators, columns, slack=True)):
                     histogram[inv["slack"]] += 1
-                    rec = build_record(s, {"kind": "hunt", "genus": genus}, 0, inv)
+                    rec = build_record(g, {"kind": "hunt", "genus": genus}, 0, inv)
                     if not inv["question_holds"]:
                         findings.append(rec)
                     if out is not None:
@@ -390,7 +389,7 @@ def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[
             with open(out, "a", encoding="utf-8") as fh:
                 fh.writelines(line[17:] for line in heapq.merge(*runs))
     _sort_records(findings)
-    return checked, findings, dict(sorted(histogram.items()))
+    return sum(histogram.values()), findings, dict(sorted(histogram.items()))  # one slack per record
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:

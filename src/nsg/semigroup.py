@@ -16,7 +16,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import compress
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -222,6 +223,15 @@ def new_semigroup(raw_generators: Iterable[int]) -> NumericalSemigroup:
     return NumericalSemigroup(raw_generators)
 
 
+def _semigroup(apery: tuple[int, ...], generators: tuple[int, ...]) -> NumericalSemigroup:
+    """The semigroup with this Apery tuple and these sorted minimal
+    generators, taken as given: no round robin and no size check."""
+    s = object.__new__(NumericalSemigroup)
+    s.multiplicity, s.apery, s.generators = generators[0], apery, generators
+    s.frobenius, s.was_reduced = max(apery) - generators[0], False
+    return s
+
+
 def _members(lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
     """For each row j of the (rows x m) integer matrices ``lo`` and ``hi``,
     the increasing list of the integers v with lo[j, c] <= v < hi[j, c],
@@ -252,15 +262,10 @@ def _members(lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
     return [values] if rows == 1 else [values[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _by_multiplicity(semigroups: list[NumericalSemigroup], build: Callable[[int, list[int]], list]) -> list:
-    """``build(m, rows)`` for each multiplicity m, ``rows`` the positions of
-    the semigroups with multiplicity m; its outputs, one per row, are
-    returned in input order."""
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(semigroups):
-        groups.setdefault(s.multiplicity, []).append(i)
-    out = dict(item for m, rows in groups.items() for item in zip(rows, build(m, rows)))
-    return [out[i] for i in range(len(semigroups))]
+def _sorted_rows(values: np.ndarray, keep: np.ndarray) -> list[list[int]]:
+    """For each row of the integer matrix ``values``, the increasing list of
+    its entries where the boolean matrix ``keep`` is set."""
+    return [sorted(compress(row, flags)) for row, flags in zip(values.tolist(), keep.tolist())]
 
 
 def _row(vector: tuple[int, ...]) -> np.ndarray:

@@ -140,6 +140,21 @@ def brute_sum(generators: Sequence[int], left_gens: Sequence[int], right_gens: S
     return {x + y for x in left for y in right if x + y < hi}
 
 
+def deletion_generators(generators: Sequence[int], frobenius: int) -> list[list[int]]:
+    """A generating set of S minus {g} for each minimal generator g above
+    the Frobenius number, in increasing g: the other generators, g plus
+    each generator, and 2g and 3g.  A member a*g + y other than g, with y
+    a sum of the other generators, is y when a = 0, (g + h) + (y - h) for a
+    generator h of y when a = 1, and y plus copies of 2g and 3g when a >= 2.
+    Building each set through ``new_semigroup`` is the genus-tree step
+    without Apery matrices."""
+    return [
+        [h for h in generators if h != g] + [g + h for h in generators] + [2 * g, 3 * g]
+        for g in generators
+        if g > frobenius
+    ]
+
+
 def gap_sets_by_genus(genus: int) -> list[frozenset[int]]:
     """Every gap set of the given genus, by brute force over subsets of
     [1, 2*genus - 1] (the largest gap never exceeds that)."""

@@ -56,6 +56,43 @@ class TestRelativeIdeal:
         with pytest.raises(ValueError):
             RelativeIdeal(new_semigroup([3, 5, 7]), (0, 2))
 
+    def test_unclosed_vector_refused(self):
+        # 0 + 5 = 5 is in the ideal, in class 2, below its stated minimum 8
+        with pytest.raises(ValueError, match="class-minimum vector"):
+            RelativeIdeal(new_semigroup([3, 5, 7]), (0, 4, 8))
+        with pytest.raises(ValueError, match="class-minimum vector"):
+            RelativeIdeal(new_semigroup([2, 3]), (1, 0))  # classes swapped
+
+
+@st.composite
+def semigroup_and_vector(draw):
+    """A semigroup and a vector of one integer per class mod m, usually in
+    its class, drawn near the semigroup's own class minima."""
+    s = draw(semigroups(max_multiplicity=6))
+    m, f = s.multiplicity, s.frobenius
+    in_class = draw(st.booleans()) or draw(st.booleans())
+    values = st.integers(-2, f + 2 * m + 2)
+    mins = [draw(values.map(lambda v, c=c: v - (v - c) % m if in_class else v)) for c in range(m)]
+    return s, tuple(mins)
+
+
+@settings(max_examples=150, deadline=None)
+@given(semigroup_and_vector())
+@example((new_semigroup([3, 5, 7]), (0, 4, 8)))
+@example((new_semigroup([3, 5, 7]), (3, 7, 5)))
+@example((new_semigroup([1]), (-4,)))
+def test_vector_accepted_iff_it_is_the_class_minima_of_its_ideal(case):
+    s, mins = case
+    m = s.multiplicity
+    elements = brute_ideal(s.generators, mins, max(mins) + 1)
+    closed = [min((z for z in elements if z % m == c), default=None) for c in range(m)] == list(mins)
+    try:
+        ideal = RelativeIdeal(s, mins)
+    except ValueError:
+        assert not closed
+    else:
+        assert closed and ideal.mins == mins
+
 
 class TestCanonicalIdeal:
     def test_357(self):
@@ -205,6 +242,16 @@ class TestTraceAndResidue:
 class TestTraceReports:
     def test_empty(self):
         assert trace_reports([]) == []
+
+    def test_symmetry_cross_check_names_the_row(self, monkeypatch):
+        # a trace equal to the semigroup has residue 0, which the symmetry
+        # count refutes for <3, 4, 5> (genus 2, F = 2) but not for <3, 5>
+        import nsg.ideals
+
+        monkeypatch.setattr(nsg.ideals, "_sum", lambda gens, x: x)
+        monkeypatch.setattr(nsg.ideals, "_dual", lambda apery, gens: apery)
+        with pytest.raises(AssertionError, match=r"NumericalSemigroup\(\[3, 4, 5\]\).*genus 2, residue 0"):
+            trace_reports([new_semigroup([3, 5]), new_semigroup([3, 4, 5])])
 
     def test_genus_tree_in_one_call(self):
         # every multiplicity of the tree to genus 12, interleaved, in one call

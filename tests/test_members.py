@@ -1,5 +1,5 @@
 """The class-bounded list kernel ``semigroup._members`` against the
-brute-force oracles, and the per-level payload builder ``scan._payloads``
+brute-force oracles, and the per-group payload builder ``scan._payloads``
 against one-by-one ``info_payload``.
 
 ``_members(lo, hi)`` lists, for each row, the v with lo[c] <= v < hi[c],
@@ -13,10 +13,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsg.enumeration import by_genus
-from nsg.ideals import RelativeIdeal, dual_ideal, trace_and_residue, trace_reports
+from nsg.enumeration import _levels
+from nsg.ideals import RelativeIdeal, dual_ideal, trace_and_residue, trace_columns
 from nsg.scan import _payloads, info_payload
-from nsg.semigroup import _members, gap_profile, new_semigroup
+from nsg.semigroup import _members, _sorted_rows, gap_profile, new_semigroup
 
 from oracles import brute_dual, brute_ideal, brute_members, brute_trace, window
 from strategies import semigroups
@@ -122,10 +122,13 @@ def test_dual_heads_match_oracles(case):
 
 
 def test_level_payloads_equal_one_by_one():
-    # every level to genus 12 mixes multiplicities; <1> rides along
-    for genus, level in by_genus(12):
-        batch = [new_semigroup([1])] + level if genus == 12 else level
-        payloads = _payloads(batch, trace_reports(batch), slack=True)
+    # every multiplicity group of every level to genus 12, and <1>
+    naturals = np.zeros((1, 1), np.int64), np.zeros((1, 1), bool)
+    groups = [(1, *naturals)] + [(m, *group) for _, level in _levels(12) for m, group in level.items()]
+    for m, apery, mask in groups:
+        generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
+        payloads = _payloads(m, apery, generators, trace_columns(m, apery, np.where(mask, apery, m)), slack=True)
+        batch = [new_semigroup(g) for g in generators]
         assert payloads == [info_payload(s, slack=True) for s in batch]
         for s, payload in zip(batch, payloads):
             report = trace_and_residue(s)

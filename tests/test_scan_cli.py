@@ -220,7 +220,7 @@ class TestHunt:
         # and appended after what the file already held
         expected = sorted(
             (
-                build_record(s, {"kind": "hunt", "genus": genus}, 0, info_payload(s, slack=True))
+                build_record(s.generators, {"kind": "hunt", "genus": genus}, 0, info_payload(s, slack=True))
                 for genus, level in by_genus(10)
                 for s in level
             ),
@@ -435,6 +435,34 @@ class TestCli:
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "eb31b33a50680e40098e51b24825ccd856e51d6886d522f7a9ae9181c7a72b25"
         )
+
+    @pytest.mark.parametrize(
+        "genus, jsonl, stdout",
+        [
+            (
+                17,
+                "ec3fd97f0d5f61b435af78d36120b3c08b96c9f64276d3153e2afdc233f6f632",
+                "cfb28649c7eb9b746c2918d516faa6e9f02e60924a9495f363718f8b1ce24e8e",
+            ),
+            (
+                18,
+                "48c7b6537d4a86ecb72141f2eb08a8a6ee138afd58f5faa74a39eeb076121082",
+                "016d2125cb6e2e6ae9172a1ce3a0bac415ae1083713a011edbd4c2150e131353",
+            ),
+        ],
+        ids=["genus17", "genus18"],
+    )
+    def test_hunt_output_pinned_past_the_counterexamples(self, runner, tmp_path, monkeypatch, genus, jsonl, stdout):
+        # recorded when the tree was built from generating sets and every
+        # record from NumericalSemigroup and TraceReport objects
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        out = tmp_path / "hunt.jsonl"
+        result = runner.invoke(main, ["hunt", "--max-genus", str(genus), "--out", str(out)])
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == jsonl
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == stdout
+        found = [json.loads(line)["generators"] for line in result.stdout.splitlines() if line.startswith("{")]
+        assert [13, 14, 15, 16, 17, 18, 21, 23] in found and [13, 15, 16, 17, 18, 19, 21, 24, 25] in found
 
     def test_hunt_invalid_genus(self, runner):
         for value in ("0", "-3"):

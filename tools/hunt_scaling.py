@@ -1,6 +1,6 @@
 """Time the genus-tree hunt writing its JSONL, one fresh process per genus.
 
-    python tools/hunt_scaling.py [--src SRC_DIR] [--json] [GENUS ...]
+    python tools/hunt_scaling.py [--src SRC_DIR] [--tree] [--json] [GENUS ...]
 
 For each genus (default 14 18 20) a child interpreter imports ``nsg`` from
 SRC_DIR (default ``src`` beside this script), runs ``scan.hunt(genus, out)``
@@ -10,6 +10,13 @@ resident set size (``ru_maxrss``, which includes the interpreter and numpy).
 One line per genus:
 
     genus 18: 33281 records, wall 4.95 s, cpu 4.90 s, peak RSS 114.7 MiB
+
+With ``--tree`` the same child then walks the genus tree alone to that
+genus, through ``enumeration._levels`` (the Apery-matrix levels the hunt
+reads; a checkout without it has its ``by_genus`` walked instead), and the
+line ends with that wall time and its share of the hunt's:
+
+    genus 20: 93141 records, wall 4.90 s, cpu 4.85 s, peak RSS 80.1 MiB, tree 0.09 s (1.8% of hunt)
 
 ``--json`` prints one JSON list of the per-genus results instead.  Point
 ``--src`` at another checkout's ``src`` to compare two commits; a checkout
@@ -31,8 +38,9 @@ DEFAULT_GENERA = (14, 18, 20)
 CHILD = """
 import json, os, resource, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
+from nsg import enumeration
 from nsg.scan import hunt
-genus = int(sys.argv[2])
+genus, tree = int(sys.argv[2]), sys.argv[3] == "tree"
 with tempfile.TemporaryDirectory() as tmp:
     out = os.path.join(tmp, "hunt.jsonl")
     wall, cpu = time.perf_counter(), time.process_time()
@@ -41,13 +49,19 @@ with tempfile.TemporaryDirectory() as tmp:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with open(out, "rb") as fh:
         records = sum(1 for _ in fh)
-print(json.dumps({"genus": genus, "records": records, "wall_s": wall, "cpu_s": cpu, "peak_rss_mib": peak}))
+row = {"genus": genus, "records": records, "wall_s": wall, "cpu_s": cpu, "peak_rss_mib": peak}
+if tree:
+    start = time.perf_counter()
+    for _ in getattr(enumeration, "_levels", enumeration.by_genus)(genus):
+        pass
+    row["tree_s"] = time.perf_counter() - start
+print(json.dumps(row))
 """
 
 
-def measure(src: Path, genus: int) -> dict:
+def measure(src: Path, genus: int, tree: bool = False) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(src), str(genus)],
+        [sys.executable, "-c", CHILD, str(src), str(genus), "tree" if tree else "hunt"],
         capture_output=True,
         text=True,
         check=True,
@@ -60,16 +74,20 @@ def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("genera", nargs="*", type=int, default=list(DEFAULT_GENERA))
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
+    parser.add_argument("--tree", action="store_true", help="also time the genus tree alone")
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
     results = []
     for genus in args.genera:
-        row = measure(args.src.resolve(), genus)
+        row = measure(args.src.resolve(), genus, args.tree)
         results.append(row)
         if not args.json:
+            tree = ""
+            if args.tree:
+                tree = f", tree {row['tree_s']:.2f} s ({100 * row['tree_s'] / row['wall_s']:.1f}% of hunt)"
             print(
                 f"genus {genus}: {row['records']} records, wall {row['wall_s']:.2f} s, "
-                f"cpu {row['cpu_s']:.2f} s, peak RSS {row['peak_rss_mib']:.1f} MiB",
+                f"cpu {row['cpu_s']:.2f} s, peak RSS {row['peak_rss_mib']:.1f} MiB{tree}",
                 flush=True,
             )
     if args.json:
