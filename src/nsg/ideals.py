@@ -18,8 +18,8 @@ cost whatever F is:
   a + J[(c - a) mod m].
 
 The head (the elements below the conductor), an O(F) list, is computed
-only when it is read.  ``trace_columns`` takes the Apery vectors of many
-semigroups of one multiplicity as one matrix and runs each step of the
+only when it is read.  ``trace_columns`` stacks the Apery vectors of many
+semigroups of one multiplicity into one matrix and runs each step of the
 trace on all its rows; ``trace_reports`` and ``trace_and_residue`` wrap its
 columns into ``TraceReport`` objects, and ``nsg hunt`` reads them as they
 are.
@@ -28,12 +28,13 @@ are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import AmbientMismatch, TrivialSemigroup
-from .semigroup import NumericalSemigroup, _fold, _maximal, _members, _row, _sorted_rows
+from .semigroup import NumericalSemigroup, _fold, _maximal, _members, _row
 
 __all__ = [
     "RelativeIdeal",
@@ -46,6 +47,7 @@ __all__ = [
     "trace_and_residue",
     "trace_reports",
     "trace_columns",
+    "classification",
     "gap_bound_check",
 ]
 
@@ -88,11 +90,11 @@ class RelativeIdeal:
         return x >= self.mins[x % len(self.mins)]
 
 
-def _ideal(s: NumericalSemigroup, x: np.ndarray) -> RelativeIdeal:
-    """The ideal of a class-minimum vector x that is closed by construction,
+def _ideal(s: NumericalSemigroup, mins: list[int]) -> RelativeIdeal:
+    """The ideal of a class-minimum vector that is closed by construction,
     made without the closure check of ``RelativeIdeal``."""
     ideal = object.__new__(RelativeIdeal)
-    vars(ideal).update(ambient=s, mins=tuple(x.tolist()))
+    vars(ideal).update(ambient=s, mins=tuple(mins))
     return ideal
 
 
@@ -129,12 +131,10 @@ class TraceReport:
     -1 is their Frobenius number and plays the canonical-generator role
     there, which keeps the gluing and lifting formulas total.  Only the
     trace, its minimal generators, ``pf``, the residue and the genus are
-    stored; the classification derives from them when read:
-
-    - ``gorenstein``: residue 0; ``nearly_gorenstein``: residue <= 1;
-    - ``gap_bound``: genus minus the F + 1 - genus members below F;
-    - ``slack``: gap_bound - residue, and ``question_holds`` iff it is >= 0;
-    - ``missing``: the members below the trace's class minima, an O(F) list.
+    stored; the verdicts of ``classification`` (``gorenstein``,
+    ``nearly_gorenstein``, ``gap_bound``, ``slack``, ``question_holds``) and
+    ``missing``, the members below the trace's class minima (an O(F) list),
+    derive from them when read.
     """
 
     trace: RelativeIdeal
@@ -143,29 +143,48 @@ class TraceReport:
     residue: int
     genus: int
 
+    def _verdict(self, key: str) -> int:
+        return classification(self.residue, self.genus, self.trace.ambient.frobenius)[key]
+
     @property
     def gorenstein(self) -> bool:
-        return self.residue == 0
+        return self._verdict("gorenstein")
 
     @property
     def nearly_gorenstein(self) -> bool:
-        return self.residue <= 1
+        return self._verdict("nearly_gorenstein")
 
     @property
     def gap_bound(self) -> int:
-        return 2 * self.genus - self.trace.ambient.frobenius - 1
+        return self._verdict("gap_bound")
 
     @property
     def slack(self) -> int:
-        return self.gap_bound - self.residue
+        return self._verdict("slack")
 
     @property
     def question_holds(self) -> bool:
-        return self.residue <= self.gap_bound
+        return self._verdict("question_holds")
 
     @property
     def missing(self) -> tuple[int, ...]:
         return tuple(_members(_row(self.trace.ambient.apery), _row(self.trace.mins))[0])
+
+
+def classification(residue: int, genus: int, frobenius: int) -> dict:
+    """The verdicts on a semigroup with this trace residue, genus and
+    Frobenius number: ``gorenstein`` (residue 0), ``nearly_gorenstein``
+    (residue <= 1), the ``gap_bound`` (genus minus the F + 1 - genus members
+    below F), ``question_holds`` (residue <= gap_bound) and the ``slack``
+    gap_bound - residue, in that key order."""
+    gap_bound = 2 * genus - frobenius - 1
+    return {
+        "gorenstein": residue == 0,
+        "nearly_gorenstein": residue <= 1,
+        "gap_bound": gap_bound,
+        "question_holds": residue <= gap_bound,
+        "slack": gap_bound - residue,
+    }
 
 
 def generated_ideal(s: NumericalSemigroup, elements: Iterable[int]) -> RelativeIdeal:
@@ -174,7 +193,7 @@ def generated_ideal(s: NumericalSemigroup, elements: Iterable[int]) -> RelativeI
     gens = np.array(list(elements), dtype=np.int64)
     if not len(gens):
         raise ValueError("a relative ideal needs at least one generating element")
-    return _ideal(s, _sum(gens[None], np.array([s.apery]))[0])
+    return _ideal(s, _sum(gens[None], np.array([s.apery]))[0].tolist())
 
 
 def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
@@ -188,7 +207,7 @@ def canonical_ideal(s: NumericalSemigroup) -> RelativeIdeal:
         raise TrivialSemigroup("the naturals are their own canonical ideal; no gaps to reflect")
     m, f = s.multiplicity, s.frobenius
     # z is in K iff F - z is a gap, iff z > F - Ap[(F - z) mod m]
-    return _ideal(s, f + m - np.array(s.apery)[(f - np.arange(m)) % m])
+    return _ideal(s, (f + m - np.array(s.apery)[(f - np.arange(m)) % m]).tolist())
 
 
 def dual_ideal(s: NumericalSemigroup, ideal: RelativeIdeal) -> RelativeIdeal:
@@ -201,7 +220,7 @@ def dual_ideal(s: NumericalSemigroup, ideal: RelativeIdeal) -> RelativeIdeal:
     if ideal.ambient.generators != s.generators:
         raise AmbientMismatch(f"cannot dualize an ideal over {ideal.ambient.generators} in {s.generators}")
     gens = _min_gens(np.array(ideal.mins), s.generators)
-    return _ideal(s, _dual(np.array([s.apery]), gens[None])[0])
+    return _ideal(s, _dual(np.array([s.apery]), gens[None])[0].tolist())
 
 
 def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
@@ -216,7 +235,7 @@ def ideal_sum(left: RelativeIdeal, right: RelativeIdeal) -> RelativeIdeal:
         )
     s = left.ambient
     gens = _min_gens(np.array(left.mins), s.generators)
-    return _ideal(s, _sum(gens[None], np.array([right.mins]))[0])
+    return _ideal(s, _sum(gens[None], np.array([right.mins]))[0].tolist())
 
 
 def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
@@ -248,24 +267,25 @@ def trace_reports(semigroups: Iterable[NumericalSemigroup]) -> list[TraceReport]
 
 
 def _reports(m: int, group: list[NumericalSemigroup]) -> list[TraceReport]:
-    """``trace_reports`` of semigroups that share the multiplicity m."""
+    """``trace_reports`` of semigroups that share the multiplicity m; each
+    trace row is listed once, for its ideal and its minimal generators."""
     width = max(len(s.generators) for s in group)
     gens = np.array([s.generators + (m,) * (width - len(s.generators)) for s in group])
-    trace, trace_gens, pfs, residues, genera = trace_columns(m, np.array([s.apery for s in group]), gens)
+    trace, trace_mask, *columns = trace_columns(m, [s.apery for s in group], gens)
     return [
-        TraceReport(_ideal(s, x), tuple(tg), tuple(pf), residue, genus)
-        for s, x, tg, pf, residue, genus in zip(group, trace, trace_gens, pfs, residues, genera)
+        TraceReport(_ideal(s, x), tuple(sorted(compress(x, keep))), tuple(pf), residue, genus)
+        for s, x, keep, pf, residue, genus in zip(group, trace.tolist(), trace_mask.tolist(), *columns)
     ]
 
 
 def trace_columns(
-    m: int, apery: np.ndarray, gens: np.ndarray
-) -> tuple[np.ndarray, list[list[int]], list[list[int]], list[int], list[int]]:
+    m: int, rows: Sequence[Sequence[int]], gens: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[list[int]], list[int], list[int]]:
     """The canonical trace of the semigroups of multiplicity m whose Apery
-    sets are the rows of the (rows x m) integer matrix ``apery`` and whose
-    minimal generators are the matching rows of ``gens`` (padded with m), as
-    columns: the (rows x m) trace class-minimum matrix, and per row the
-    sorted trace minimal generators, the pseudo-Frobenius numbers, the
+    sets, indexed by residue, are ``rows`` and whose minimal generators are
+    the matching rows of the integer matrix ``gens`` (padded with m), as
+    columns: the (len(rows) x m) trace class-minimum matrix and the mask of its
+    minimal generators, and per row the sorted pseudo-Frobenius numbers, the
     residue and the genus.
 
     The trace is K + (S - K), all on class-minimum vectors, where K is
@@ -279,8 +299,8 @@ def trace_columns(
     bug, not data.  The naturals, with the one maximal Apery element 0, get
     the pseudo-Frobenius list [-1].
     """
-    maximal = _maximal(apery, gens)
-    pfs = _sorted_rows(apery - m, maximal)
+    apery = np.array(rows)
+    pfs = [[w - m for w in sorted(compress(row, keep))] for row, keep in zip(rows, _maximal(apery, gens).tolist())]
     depth = max(map(len, pfs))
     # the largest pseudo-Frobenius number is F
     kan_gens = np.array([[pf[-1] - x for x in pf] + [0] * (depth - len(pf)) for pf in pfs])
@@ -297,7 +317,7 @@ def trace_columns(
             raise AssertionError(f"symmetry test and residue disagree on {s}: genus {genus}, residue {residue}")
         residues.append(residue)
         genera.append(genus)
-    return trace, _sorted_rows(trace, _generator_mask(trace, gens)), pfs, residues, genera
+    return trace, _generator_mask(trace, gens), pfs, residues, genera
 
 
 def gap_bound_check(s: NumericalSemigroup) -> TraceReport:

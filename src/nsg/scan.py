@@ -34,7 +34,7 @@ from .constructions import (
     verify_construction,
 )
 from .errors import GluingError, InvalidSetting
-from .ideals import TraceReport, gap_bound_check, trace_and_residue, trace_columns  # noqa: F401 (re-exported)
+from .ideals import TraceReport, classification, gap_bound_check, trace_and_residue, trace_columns  # noqa: F401
 from .semigroup import NumericalSemigroup, _members, _row, _sorted_rows, new_semigroup
 from .toric import acm_and_hypothesis
 
@@ -105,8 +105,10 @@ def info_payload(
 
 def _payloads(m: int, apery: np.ndarray, generators: list[tuple[int, ...]], columns: tuple, slack: bool) -> list[dict]:
     """The ``info_payload`` of each semigroup of multiplicity m, from its
-    Apery row, its minimal generators and its row of ``columns`` (as
-    ``trace_columns`` returns them).  Three ``_members`` calls list the gaps
+    Apery row, its minimal generators and its row of ``columns``: the trace
+    class-minimum matrix, and per row the sorted trace minimal generators,
+    the pseudo-Frobenius numbers, the residue and the genus.  The verdicts
+    come from ``classification``.  Three ``_members`` calls list the gaps
     (from c up to Ap[c]), the trace heads (from the trace minimum up to the
     conductor) and the missing members (from Ap[c] up to the trace minimum)
     of all the rows."""
@@ -119,7 +121,9 @@ def _payloads(m: int, apery: np.ndarray, generators: list[tuple[int, ...]], colu
         generators, conductors[:, 0].tolist(), trace_gens, pfs, residues, genera, *lists
     ):
         f = pf[-1]  # the largest pseudo-Frobenius number, -1 for the naturals
-        gap_bound = 2 * genus - f - 1
+        verdicts = classification(residue, genus, f)
+        if not slack:
+            del verdicts["slack"]
         pf = [] if m == 1 else pf  # the naturals' pf (-1,) is not listed
         out.append(
             {
@@ -135,11 +139,7 @@ def _payloads(m: int, apery: np.ndarray, generators: list[tuple[int, ...]], colu
                 "trace_min_gens": tg,
                 "residue": residue,
                 "missing": missing,
-                "gorenstein": residue == 0,
-                "nearly_gorenstein": residue <= 1,
-                "gap_bound": gap_bound,
-                "question_holds": residue <= gap_bound,
-                **({"slack": gap_bound - residue} if slack else {}),
+                **verdicts,
             }
         )
     return out
@@ -209,11 +209,16 @@ def _draw_gluing(rng: random.Random, max_multiplicity: int) -> tuple[GluingSpec,
     while True:
         left = random_semigroup(rng, max_multiplicity)
         right = random_semigroup(rng, max_multiplicity)
-        # the scalars: non-generator members in [2m, 4m] of each factor
-        lam_pool, mu_pool = (
-            [x for x in range(2 * f.multiplicity, 4 * f.multiplicity + 1) if f.contains(x) and x not in f.generators]
-            for f in (left, right)
-        )
+        lam_pool = [
+            x
+            for x in range(2 * left.multiplicity, 4 * left.multiplicity + 1)
+            if left.contains(x) and x not in left.generators
+        ]
+        mu_pool = [
+            x
+            for x in range(2 * right.multiplicity, 4 * right.multiplicity + 1)
+            if right.contains(x) and x not in right.generators
+        ]
         for _ in range(16):
             spec = GluingSpec(left, right, rng.choice(lam_pool), rng.choice(mu_pool))
             try:
@@ -264,8 +269,7 @@ def _random_worker(args: tuple) -> dict:
 def _arithmetic_worker(args: tuple) -> dict:
     n1, d, e, seed = args
     s = arithmetic_semigroup(n1, d, e)
-    provenance = {"kind": "arithmetic", "n1": n1, "d": d, "e": e}
-    return build_record(s.generators, provenance, seed, info_payload(s, toric=True))
+    return build_record(s.generators, {"kind": "arithmetic", "n1": n1, "d": d, "e": e}, seed, info_payload(s, toric=True))
 
 
 def _gluing_worker(args: tuple) -> dict:
@@ -369,7 +373,8 @@ def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[
             lines = []
             for m, (apery, mask) in level.items():
                 generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
-                columns = trace_columns(m, apery, np.where(mask, apery, m))
+                trace, trace_mask, *rest = trace_columns(m, apery.tolist(), np.where(mask, apery, m))
+                columns = trace, _sorted_rows(trace, trace_mask), *rest
                 for g, inv in zip(generators, _payloads(m, apery, generators, columns, slack=True)):
                     histogram[inv["slack"]] += 1
                     rec = build_record(g, {"kind": "hunt", "genus": genus}, 0, inv)

@@ -223,15 +223,6 @@ def new_semigroup(raw_generators: Iterable[int]) -> NumericalSemigroup:
     return NumericalSemigroup(raw_generators)
 
 
-def _semigroup(apery: tuple[int, ...], generators: tuple[int, ...]) -> NumericalSemigroup:
-    """The semigroup with this Apery tuple and these sorted minimal
-    generators, taken as given: no round robin and no size check."""
-    s = object.__new__(NumericalSemigroup)
-    s.multiplicity, s.apery, s.generators = generators[0], apery, generators
-    s.frobenius, s.was_reduced = max(apery) - generators[0], False
-    return s
-
-
 def _members(lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
     """For each row j of the (rows x m) integer matrices ``lo`` and ``hi``,
     the increasing list of the integers v with lo[j, c] <= v < hi[j, c],

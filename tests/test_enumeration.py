@@ -4,8 +4,9 @@ built from a generating set by ``new_semigroup``, and against A007323."""
 
 from hypothesis import example, given, settings
 
+import nsg.enumeration
 from nsg.enumeration import _levels, by_genus, children
-from nsg.semigroup import new_semigroup
+from nsg.semigroup import _sorted_rows, new_semigroup
 
 from oracles import deletion_generators
 from strategies import semigroups
@@ -25,11 +26,22 @@ def oracle_children(s):
     return [new_semigroup(gens) for gens in deletion_generators(s.generators, s.frobenius)]
 
 
+def listed(level):
+    # each row of a level as (m, Apery tuple, minimal generators, F)
+    return [
+        (m, tuple(row), (m, *gens), max(row) - m)
+        for m, (apery, mask) in level.items()
+        for row, gens in zip(apery.tolist(), _sorted_rows(apery, mask))
+    ]
+
+
 def test_tree_matches_generator_route_to_genus_18():
     level = [new_semigroup([1])]
-    for genus, semigroups in by_genus(18):
+    for (genus, semigroups), (_, rows) in zip(by_genus(18), _levels(18)):
         level = [child for s in level for child in oracle_children(s)]
-        assert sorted(map(stored, semigroups)) == sorted(map(stored, level)), genus
+        expected = sorted(map(stored, level))
+        assert sorted(listed(rows)) == expected, genus
+        assert sorted(map(stored, semigroups)) == expected, genus
         assert not any(s.was_reduced for s in semigroups)
 
 
@@ -44,12 +56,20 @@ def test_level_counts_match_a007323_through_genus_22():
 @example(new_semigroup([2, 3]))
 @example(new_semigroup([5, 6, 7, 8, 9]))
 @example(new_semigroup([13, 14, 15, 16, 17, 18, 21, 23]))
+@example(new_semigroup(range(100, 200)))  # 100 children, every generator above F = 99
 def test_children_match_generator_route(s):
     # children(s) builds each child through new_semigroup from its minimal
     # generators, so none is reduced
     got = children(s)
     assert sorted(map(stored, got)) == sorted(map(stored, oracle_children(s)))
     assert not any(c.was_reduced for c in got)
+
+
+def test_children_without_eligible_generator_fold_nothing(monkeypatch):
+    # no minimal generator above F: no child, and no fold over the m classes
+    s = new_semigroup([3000, 3001])
+    monkeypatch.setattr(nsg.enumeration, "_fold", None)
+    assert children(s) == []
 
 
 def test_children_of_the_first_levels():
