@@ -59,8 +59,8 @@ __all__ = [
 ]
 
 
-def canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# json.dumps with non-default arguments builds a new encoder per call
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def record_id(generators: Sequence[int]) -> str:

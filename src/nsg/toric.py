@@ -1,29 +1,33 @@
 """Binomial Groebner machinery for defining ideals of monomial curves.
 
 Everything is a pure-difference binomial (coefficients +1/-1), so S-pairs
-and reductions collapse to integer lattice operations on exponent tuples,
-done in plain Python ints.  ``buchberger`` prunes S-pairs with the
-Gebauer-Moeller criteria before reducing them and takes the survivors in
-increasing degree for a grading given by the caller.  A monomial's support
-is kept as an int bitmask (``_mask``); since a monomial can divide another
-only when its support is contained in the other's, the reducer and the
-pair update index their leads and lcms by that mask and test exponents
-only where the masks allow a divisor.  The defining ideal of
-a semigroup is computed by eliminating the parameter variable from the
-graph ideal of the monomial map, which is homogeneous for the weights
-(1, n_1, ..., n_e): under that grading the pairs come in semigroup-degree
-order, rather than high t-degree first.
+and reductions collapse to integer lattice operations on exponents.
+``buchberger`` prunes S-pairs with the Gebauer-Moeller criteria before
+reducing them and takes the survivors in increasing degree for a grading
+given by the caller.  Inside it every monomial is packed into one Python
+int, 32 bits a variable with a guard bit on top of each field, so that a
+divisibility test, an lcm, a support mask and a rewrite step are each a few
+integer operations; an exponent that would not fit its field raises
+``InputTooLarge`` instead of spilling into the next variable.  Binomials,
+bases and their JSON keep exponent tuples.  The reducer buckets its leads
+by their support mask and tests a monomial only against leads whose support
+lies inside its own.  The defining ideal of a semigroup is computed by
+eliminating the parameter variable from the graph ideal of the monomial
+map, which is homogeneous for the weights (1, n_1, ..., n_e): under that
+grading the pairs come in semigroup-degree order, rather than high t-degree
+first.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
+import struct
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import EmbeddingDimensionTooSmall
+from .errors import EmbeddingDimensionTooSmall, InputTooLarge
 from .ideals import trace_and_residue
 from .semigroup import NumericalSemigroup
 
@@ -114,72 +118,121 @@ class Binomial:
         return f"Binomial({self.plus} - {self.minus})"
 
 
-def _oriented(a: Monomial, b: Monomial, order: MonomialOrder) -> Binomial | None:
-    if a == b:
-        return None
-    return Binomial(a, b) if order.greater(a, b) else Binomial(b, a)
+_FIELD = 32  # bits a variable in a packed monomial; the top one is a guard bit
 
 
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    # faster than tuple(map(max, a, b)), whose max() call parses its
-    # arguments generically for every variable
-    return tuple([x if x > y else y for x, y in zip(a, b)])
+class _Packing:
+    """Monomials over ``n`` variables packed into one int, ``_FIELD`` bits a
+    variable with the first variable lowest.
+
+    Each exponent lies in the low 31 bits of its field and the top bit, one
+    of the bits of ``guard``, stays clear.  Subtracting a packed monomial
+    from another with every guard bit set then borrows within each field and
+    never across, which the kernels below rest on; as packing is linear,
+    adding and subtracting packed monomials adds and subtracts exponents.
+    """
+
+    __slots__ = ("n", "guard", "ones", "_struct")
+
+    def __init__(self, n: int):
+        self.n = n
+        self._struct = struct.Struct(f"<{n}I")
+        self.ones = int.from_bytes(self._struct.pack(*(1,) * n), "little")
+        self.guard = self.ones << (_FIELD - 1)
+
+    def pack(self, m: Sequence[int]) -> int:
+        if len(m) != self.n:
+            raise ValueError(f"{m} does not have {self.n} exponents")
+        try:
+            packed = int.from_bytes(self._struct.pack(*m), "little")
+        except struct.error:  # an exponent below 0 or from 2**32 up
+            packed = self.guard
+        if packed & self.guard:
+            raise InputTooLarge(f"the exponents of {tuple(m)} must lie in 0..2**{_FIELD - 1}-1")
+        return packed
+
+    def unpack(self, m: int) -> Monomial:
+        return self._struct.unpack(m.to_bytes(self._struct.size, "little"))
 
 
-def _divides(small: Monomial, big: Monomial) -> bool:
-    return all(map(operator.le, small, big))
+def _divides(small: int, big: int, guard: int) -> bool:
+    # a field of (big | guard) - small keeps its guard bit iff it does not borrow
+    return ((big | guard) - small) & guard == guard
 
 
-def _mask(m: Monomial) -> int:
-    # one byte per variable, nonzero where the exponent is: the support of a
-    # lies inside the support of b exactly when _mask(a) & ~_mask(b) == 0
-    return int.from_bytes(bytes(map(bool, m)), "little")
+def _support(m: int, guard: int, ones: int) -> int:
+    # the guard bit of each nonzero exponent: the support of a lies inside
+    # the support of b exactly when _support(a) & ~_support(b) == 0
+    return ((m | guard) - ones) & guard
 
 
-def _rewrite(m: Monomial, lead: Monomial, tail: Monomial) -> Monomial:
-    return tuple(map(operator.add, map(operator.sub, m, lead), tail))
+def _lcm(a: int, b: int, guard: int) -> int:
+    # the guard bit of each field where a >= b, spread over its 31 low bits,
+    # picks that field from a and the others from b
+    ge = ((a | guard) - b) & guard
+    keep = ge - (ge >> (_FIELD - 1))
+    return (a & keep) | (b & ~keep)
+
+
+def _rewrite(m: int, lead: int, tail: int, guard: int) -> int:
+    """m with its divisor lead replaced by tail.  An exponent that outgrows
+    its field sets that field's guard bit and is refused, not carried into
+    the next variable."""
+    m = m - lead + tail
+    if m & guard:
+        raise InputTooLarge(f"a rewritten exponent reached 2**{_FIELD - 1}")
+    return m
+
+
+def _orient(a: int, b: int, packing: _Packing, order: MonomialOrder) -> tuple[int, int, Binomial]:
+    """The packed lead, the packed tail and the binomial of a - b, a != b."""
+    plus, minus = packing.unpack(a), packing.unpack(b)
+    if order.greater(plus, minus):
+        return a, b, Binomial(plus, minus)
+    return b, a, Binomial(minus, plus)
 
 
 class _Reducer:
-    """Rewriting system over a growing set of oriented binomials.
+    """Rewriting system over a growing set of packed (lead, tail) rules.
 
-    Leads and tails are plain int tuples, bucketed by the support mask of
-    the lead.  A lead divides a monomial only when its support lies inside
-    the monomial's, so each monomial support seen keeps the list of buckets
-    it contains, and a rewrite step uses the first dividing lead in those
-    buckets.  A lead joins its bucket and so reaches every support already
-    seen that contains its own; a bucket made later joins those supports.
+    The rules are bucketed by the support of the lead.  A lead divides a
+    monomial only when its support lies inside the monomial's, so each
+    monomial support seen keeps the list of buckets it contains, and a
+    rewrite step uses the first dividing lead in those buckets.  A lead
+    joins its bucket and so reaches every support already seen that
+    contains its own; a bucket made later joins those supports.
     """
 
-    __slots__ = ("buckets", "by_support")
+    __slots__ = ("guard", "ones", "buckets", "by_support")
 
-    def __init__(self, elements: Iterable[Binomial] = ()):
-        self.buckets: dict[int, list[tuple[Monomial, Monomial]]] = {}
-        self.by_support: dict[int, list[list[tuple[Monomial, Monomial]]]] = {}
-        for b in elements:
-            self.add(b)
+    def __init__(self, packing: _Packing, rules: Iterable[tuple[int, int]] = ()):
+        self.guard, self.ones = packing.guard, packing.ones
+        self.buckets: dict[int, list[tuple[int, int]]] = {}
+        self.by_support: dict[int, list[list[tuple[int, int]]]] = {}
+        for lead, tail in rules:
+            self.add(lead, tail)
 
-    def add(self, b: Binomial) -> None:
-        mask = _mask(b.plus)
+    def add(self, lead: int, tail: int) -> None:
+        mask = _support(lead, self.guard, self.ones)
         bucket = self.buckets.get(mask)
         if bucket is None:
             bucket = self.buckets[mask] = []
             for support, buckets in self.by_support.items():
                 if not mask & ~support:
                     buckets.append(bucket)
-        bucket.append((b.plus, b.minus))
+        bucket.append((lead, tail))
 
-    def reduce(self, m: Monomial) -> Monomial:
-        by_support = self.by_support
+    def reduce(self, m: int) -> int:
+        guard, ones, by_support = self.guard, self.ones, self.by_support
         while True:
-            support = _mask(m)
+            support = _support(m, guard, ones)
             buckets = by_support.get(support)
             if buckets is None:
                 buckets = [bucket for mask, bucket in self.buckets.items() if not mask & ~support]
                 by_support[support] = buckets
             for lead, tail in chain.from_iterable(buckets):
-                if all(map(operator.le, lead, m)):
-                    m = _rewrite(m, lead, tail)
+                if _divides(lead, m, guard):
+                    m = _rewrite(m, lead, tail, guard)
                     break
             else:
                 return m
@@ -223,97 +276,94 @@ def buchberger(
       that lcm has coprime leads (its S-pair reduces to zero).
 
     Older elements whose lead lead(h) divides then form no new pairs, but
-    stay in the reducer.  The queued pairs are bucketed by the support mask
-    of their lcm, so B visits only the buckets whose mask contains lead(h)'s;
-    M and the drop of divided leads compare masks before exponents, and two
-    leads are coprime exactly when their masks are disjoint.
+    stay in the reducer.  Every monomial of the loop is packed into one int
+    (``_Packing``), so divisibility, lcm and rewriting are a few integer
+    operations, and two leads are coprime exactly when their lcm is their
+    sum.  M takes the new lcms in increasing packed value: a proper divisor
+    packs to a smaller int, so that order extends divisibility.  Monomials
+    are unpacked only to orient a new element and to weight a queued pair.
+    An exponent of 2**31 or more raises ``InputTooLarge``.
     """
     weights = (1,) * len(order.variables) if grading is None else tuple(grading)
     if len(weights) != len(order.variables) or any(w < 1 for w in weights):
         raise ValueError(f"grading needs a positive weight per variable of {order.variables}, got {grading}")
+    packing = _Packing(len(order.variables))
+    guard = packing.guard
     basis: list[Binomial] = []
-    masks: list[int] = []  # support mask of each lead
+    leads: list[int] = []  # the packed lead and tail of each element
+    tails: list[int] = []
     live: list[int] = []  # the elements that may still form new pairs
-    # the queued pairs by the support mask of their lcm: mask -> {(i, j): lcm}
-    pairs: dict[int, dict[tuple[int, int], Monomial]] = {}
-    heap: list[tuple[int, int, int, int]] = []
-    reducer = _Reducer()
+    pairs: dict[tuple[int, int], int] = {}  # the queued pairs: (i, j) -> packed lcm
+    heap: list[tuple[int, int, int]] = []
+    reducer = _Reducer(packing)
 
-    def push(h: Binomial) -> None:
+    def push(lead: int, tail: int, h: Binomial) -> None:
         nonlocal live
         j = len(basis)
-        lead = h.plus
-        mask = _mask(lead)
-        # lead(h) divides only lcms whose support contains its own
-        for support, bucket in pairs.items():
-            if mask & ~support:
-                continue
-            chained = [
-                (i, k)
-                for (i, k), lcm in bucket.items()
-                if _divides(lead, lcm) and _lcm(basis[i].plus, lead) != lcm and _lcm(basis[k].plus, lead) != lcm
-            ]
-            for key in chained:
-                del bucket[key]  # B
-        # lcm -> (first i, its support); lcms of a pair with coprime leads
-        classes: dict[Monomial, tuple[int, int]] = {}
-        coprime: set[Monomial] = set()
+        chained = [
+            (i, k)
+            for (i, k), lcm in pairs.items()
+            if _divides(lead, lcm, guard) and _lcm(leads[i], lead, guard) != lcm and _lcm(leads[k], lead, guard) != lcm
+        ]
+        for key in chained:
+            del pairs[key]  # B
+        # lcm -> first i; lcms of a pair with coprime leads
+        classes: dict[int, int] = {}
+        coprime: set[int] = set()
         for i in live:
-            lcm = _lcm(basis[i].plus, lead)
-            if lcm not in classes:
-                classes[lcm] = (i, masks[i] | mask)
-            if not masks[i] & mask:
+            lcm = _lcm(leads[i], lead, guard)
+            classes.setdefault(lcm, i)
+            if lcm == leads[i] + lead:
                 coprime.add(lcm)
-        # the lcms are distinct, so a divisor among the smaller-degree
-        # survivors is a proper divisor, and survivors suffice by transitivity
-        minimal: list[tuple[int, Monomial]] = []
-        for lcm in sorted(classes, key=sum):
-            i, support = classes[lcm]
-            for m, m_lcm in minimal:
-                if not m & ~support and _divides(m_lcm, lcm):
+        # the lcms are distinct, so a divisor among the smaller survivors is
+        # a proper divisor, and survivors suffice by transitivity
+        minimal: list[int] = []
+        for lcm in sorted(classes):
+            for m in minimal:
+                if _divides(m, lcm, guard):
                     break  # M
             else:
-                minimal.append((support, lcm))
+                minimal.append(lcm)
                 if lcm not in coprime:  # F
-                    pairs.setdefault(support, {})[i, j] = lcm
-                    heapq.heappush(heap, (sum(map(operator.mul, weights, lcm)), i, j, support))
-        live = [i for i in live if mask & ~masks[i] or not _divides(lead, basis[i].plus)]
+                    i = classes[lcm]
+                    pairs[i, j] = lcm
+                    heapq.heappush(heap, (sum(map(operator.mul, weights, packing.unpack(lcm))), i, j))
+        live = [i for i in live if not _divides(lead, leads[i], guard)]
         live.append(j)
         basis.append(h)
-        masks.append(mask)
-        reducer.add(h)
+        leads.append(lead)
+        tails.append(tail)
+        reducer.add(lead, tail)
 
     for g in gens:
-        b = _oriented(g.plus, g.minus, order)
-        if b is not None:
-            push(b)
+        a, b = packing.pack(g.plus), packing.pack(g.minus)
+        if a != b:
+            push(*_orient(a, b, packing, order))
     inputs = len(basis)
 
     while heap:
-        _, i, j, support = heapq.heappop(heap)
-        lcm = pairs[support].pop((i, j), None)
+        _, i, j = heapq.heappop(heap)
+        lcm = pairs.pop((i, j), None)
         if lcm is None:
             continue  # dropped by B after it was queued
-        f, g = basis[i], basis[j]
-        left = reducer.reduce(_rewrite(lcm, f.plus, f.minus))
-        right = reducer.reduce(_rewrite(lcm, g.plus, g.minus))
+        left = reducer.reduce(_rewrite(lcm, leads[i], tails[i], guard))
+        right = reducer.reduce(_rewrite(lcm, leads[j], tails[j], guard))
         # both sides are fully reduced, so a new element never repeats an old one
-        b = _oriented(left, right, order)
-        if b is not None:
-            push(b)
+        if left != right:
+            push(*_orient(left, right, packing, order))
 
     # minimalize: a later lead divides the lead of every element that is not
     # live, and an element made from an S-pair has a lead no earlier lead
     # divides, so only a live input can have its lead divided by another
     kept = [
-        basis[i]
+        i
         for i in sorted(live, key=lambda i: order.key(basis[i].plus))
-        if i >= inputs or not any(k != i and _divides(basis[k].plus, basis[i].plus) for k in live)
+        if i >= inputs or not any(k != i and _divides(leads[k], leads[i], guard) for k in live)
     ]
 
     # interreduce tails against the kept leads
-    final = _Reducer(kept)
-    reduced = [Binomial(b.plus, final.reduce(b.minus)) for b in kept]
+    final = _Reducer(packing, [(leads[i], tails[i]) for i in kept])
+    reduced = [Binomial(basis[i].plus, packing.unpack(final.reduce(tails[i]))) for i in kept]
     return GroebnerBasis(tuple(reduced), order)
 
 
@@ -321,14 +371,15 @@ def normal_form(item: Binomial | Monomial, gb: GroebnerBasis) -> Binomial | Mono
     """Fully reduced remainder; ``None`` means the binomial is in the ideal.
 
     Monomials reduce to monomials (pure-difference rewriting never cancels
-    a lone monomial).
+    a lone monomial).  An exponent of 2**31 or more raises ``InputTooLarge``.
     """
-    red = _Reducer(gb.elements)
+    packing = _Packing(len(gb.order.variables))
+    red = _Reducer(packing, [(packing.pack(b.plus), packing.pack(b.minus)) for b in gb.elements])
     if isinstance(item, Binomial):
-        left = red.reduce(item.plus)
-        right = red.reduce(item.minus)
-        return _oriented(left, right, gb.order)
-    return red.reduce(tuple(item))
+        left = red.reduce(packing.pack(item.plus))
+        right = red.reduce(packing.pack(item.minus))
+        return None if left == right else _orient(left, right, packing, gb.order)[2]
+    return packing.unpack(red.reduce(packing.pack(item)))
 
 
 def _gamma_degree(m: Monomial, weights: Sequence[int]) -> int:

@@ -268,3 +268,22 @@ def apery_binomials(generators: Sequence[int]) -> list[tuple[tuple[int, ...], tu
             if first != second:
                 out.append((first, second))
     return out
+
+
+def monomial_divides(small: Sequence[int], big: Sequence[int]) -> bool:
+    """x^small divides x^big: no exponent of small exceeds big's."""
+    return all(a <= b for a, b in zip(small, big))
+
+
+def monomial_lcm(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def monomial_support(m: Sequence[int]) -> frozenset[int]:
+    """The variables with a nonzero exponent."""
+    return frozenset(i for i, e in enumerate(m) if e)
+
+
+def monomial_rewrite(m: Sequence[int], lead: Sequence[int], tail: Sequence[int]) -> tuple[int, ...]:
+    """x^m with its divisor x^lead replaced by x^tail."""
+    return tuple(x - a + t for x, a, t in zip(m, lead, tail))

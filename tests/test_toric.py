@@ -8,12 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsg.constructions import arithmetic_semigroup
-from nsg.errors import EmbeddingDimensionTooSmall
+from nsg.errors import EmbeddingDimensionTooSmall, InputTooLarge
 from nsg.semigroup import new_semigroup
 from nsg.toric import (
     Binomial,
+    _Packing,
     _Reducer,
+    _divides,
     _graph_ideal,
+    _lcm,
+    _rewrite,
+    _support,
     acm_and_hypothesis,
     buchberger,
     defining_ideal,
@@ -25,7 +30,15 @@ from nsg.toric import (
     reduced_gb,
 )
 
-from oracles import apery_binomials, buchberger_criterion, fiber_monomials
+from oracles import (
+    apery_binomials,
+    buchberger_criterion,
+    fiber_monomials,
+    monomial_divides,
+    monomial_lcm,
+    monomial_rewrite,
+    monomial_support,
+)
 from strategies import semigroups
 
 
@@ -404,21 +417,114 @@ def test_normal_form_is_smallest_fiber_member_wide(gens):
 
 class TestReducer:
     # over <3, 4, 5>: every rule below is balanced for the weights (3, 4, 5)
+    packing = _Packing(3)
+
+    def reducer(self, *elements):
+        return _Reducer(self.packing, [(self.packing.pack(b.plus), self.packing.pack(b.minus)) for b in elements])
+
+    def reduce(self, red, m):
+        return self.packing.unpack(red.reduce(self.packing.pack(m)))
 
     def test_lead_with_new_support_reaches_seen_support(self):
-        red = _Reducer([Binomial((0, 2, 0), (1, 0, 1))])
-        assert red.reduce((2, 1, 1)) == (2, 1, 1)
-        red.add(Binomial((2, 1, 0), (0, 0, 2)))
+        red = self.reducer(Binomial((0, 2, 0), (1, 0, 1)))
+        assert self.reduce(red, (2, 1, 1)) == (2, 1, 1)
+        red.add(self.packing.pack((2, 1, 0)), self.packing.pack((0, 0, 2)))
         # same support as the monomial reduced before the lead was added
-        assert red.reduce((3, 1, 1)) == (1, 0, 3)
+        assert self.reduce(red, (3, 1, 1)) == (1, 0, 3)
 
     def test_lead_with_seen_support_reaches_seen_support(self):
-        red = _Reducer([Binomial((2, 1, 0), (0, 0, 2))])
-        assert red.reduce((1, 3, 1)) == (1, 3, 1)
-        red.add(Binomial((1, 3, 0), (0, 0, 3)))
-        assert red.reduce((1, 4, 1)) == (0, 1, 4)
+        red = self.reducer(Binomial((2, 1, 0), (0, 0, 2)))
+        assert self.reduce(red, (1, 3, 1)) == (1, 3, 1)
+        red.add(self.packing.pack((1, 3, 0)), self.packing.pack((0, 0, 3)))
+        assert self.reduce(red, (1, 4, 1)) == (0, 1, 4)
 
     def test_rewrites_until_no_lead_divides(self):
-        red = _Reducer([Binomial((3, 0, 0), (0, 1, 1)), Binomial((0, 2, 0), (1, 0, 1))])
+        red = self.reducer(Binomial((3, 0, 0), (0, 1, 1)), Binomial((0, 2, 0), (1, 0, 1)))
         # x1^3 x2 -> x2^2 x3 -> x1 x3^2
-        assert red.reduce((3, 1, 0)) == (1, 0, 2)
+        assert self.reduce(red, (3, 1, 0)) == (1, 0, 2)
+
+
+# the largest exponent a packed monomial holds
+FIELD_MAX = 2**31 - 1
+
+
+@st.composite
+def monomial_tuples(draw, count):
+    # exponents at 0 and at the field maximum as well as in between
+    n = draw(st.integers(1, 9))
+    exponent = st.one_of(st.just(0), st.just(FIELD_MAX), st.integers(0, FIELD_MAX))
+    return [draw(st.tuples(*[exponent] * n)) for _ in range(count)]
+
+
+class TestPackedKernels:
+    # the packed divisibility, lcm, support and rewrite against the tuple definitions
+
+    @settings(max_examples=200, deadline=None)
+    @given(monomial_tuples(2))
+    def test_pack_divides_lcm_support(self, monomials):
+        a, b = monomials
+        packing = _Packing(len(a))
+        guard, ones = packing.guard, packing.ones
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.unpack(pa) == a
+        assert _divides(pa, pb, guard) == monomial_divides(a, b)
+        lcm = _lcm(pa, pb, guard)
+        assert packing.unpack(lcm) == monomial_lcm(a, b)
+        assert _divides(pa, lcm, guard) and _divides(pb, lcm, guard)
+        # one guard bit per nonzero exponent; masks nest as supports do
+        assert packing.unpack(_support(pa, guard, ones) >> 31) == tuple(int(bool(e)) for e in a)
+        inside = not _support(pa, guard, ones) & ~_support(pb, guard, ones)
+        assert inside == (monomial_support(a) <= monomial_support(b))
+        # a proper divisor packs to a smaller int, as the M criterion's sort needs
+        if a != b and monomial_divides(a, b):
+            assert pa < pb
+
+    @settings(max_examples=200, deadline=None)
+    @given(monomial_tuples(3))
+    def test_rewrite(self, monomials):
+        m, lead, tail = monomials
+        lead = tuple(map(min, lead, m))  # a divisor of m
+        packing = _Packing(len(m))
+        want = monomial_rewrite(m, lead, tail)
+        args = (packing.pack(m), packing.pack(lead), packing.pack(tail), packing.guard)
+        if max(want) <= FIELD_MAX:
+            assert packing.unpack(_rewrite(*args)) == want
+        else:
+            with pytest.raises(InputTooLarge):
+                _rewrite(*args)
+
+    @pytest.mark.parametrize("bad", [(FIELD_MAX + 1, 0), (0, 2**32), (-1, 0)])
+    def test_pack_refuses_what_does_not_fit(self, bad):
+        with pytest.raises(InputTooLarge):
+            _Packing(2).pack(bad)
+
+
+class TestExponentLimit:
+    # an exponent past the field maximum raises instead of carrying into the
+    # next variable: at the input and at every rewrite, S-pairs included
+    order = degrevlex(["x1", "x2"])
+
+    def test_buchberger_input(self):
+        gb = buchberger([Binomial((FIELD_MAX, 0), (0, 1))], self.order)
+        assert gb.elements == (Binomial((FIELD_MAX, 0), (0, 1)),)
+        with pytest.raises(InputTooLarge):
+            buchberger([Binomial((FIELD_MAX + 1, 0), (0, 1))], self.order)
+
+    def test_buchberger_spair(self):
+        # the S-pair of x1^2 - x2^2 and x1 x2^k - x2^(k+1) rewrites x1^2 x2^k
+        # to x2^(k+2), which fits for k = FIELD_MAX - 2 and not one more
+        k = FIELD_MAX - 2
+        f = Binomial((2, 0), (0, 2))
+        gb = buchberger([f, Binomial((1, k), (0, k + 1))], self.order)
+        assert gb.elements == (f, Binomial((1, k), (0, k + 1)))
+        with pytest.raises(InputTooLarge):
+            buchberger([f, Binomial((1, k + 1), (0, k + 2))], self.order)
+
+    def test_normal_form(self):
+        gb = buchberger([Binomial((2, 0), (0, 2))], self.order)
+        assert normal_form((2, FIELD_MAX - 2), gb) == (0, FIELD_MAX)
+        assert normal_form((0, FIELD_MAX), gb) == (0, FIELD_MAX)
+        with pytest.raises(InputTooLarge):
+            normal_form((2, FIELD_MAX - 1), gb)
+        with pytest.raises(InputTooLarge):
+            normal_form((0, FIELD_MAX + 1), gb)
