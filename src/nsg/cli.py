@@ -19,7 +19,7 @@ import click
 from .constructions import GluingSpec, _glued_invariants, glue, lift, lifted_invariants, verify_construction
 from .errors import NsgError
 from .ideals import trace_and_residue
-from .scan import DEFAULT_LIMIT, canonical_json, hunt as run_hunt, info_payload, scan_family, summarize, write_jsonl
+from .scan import DEFAULT_LIMIT, canonical_json, hunt as run_hunt, info_payload, scan_family
 from .semigroup import NumericalSemigroup, new_semigroup
 from .toric import acm_and_hypothesis
 
@@ -189,10 +189,9 @@ def _writing(out: str | None) -> Iterator[None]:
 @click.option("--verify", is_flag=True, help="Verify construction predictions (gluing and lifting).")
 def scan(family: str, seed: int, limit: int | None, max_multiplicity: int, out: str, verify: bool) -> None:
     """Scan a family of semigroups and append one JSONL record each."""
-    records = scan_family(family, seed=seed, limit=limit, max_multiplicity=max_multiplicity, verify=verify)
     with _writing(out):
-        write_jsonl(out, records)
-    click.echo(summarize(records).line())
+        summary = scan_family(family, seed, limit, max_multiplicity, out, verify)
+    click.echo(summary.line())
 
 
 @main.command()

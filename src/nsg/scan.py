@@ -1,9 +1,11 @@
 """Family scans, the gap-bound hunter, and JSONL persistence.
 
 Every scan record is a pure function of its instance parameters, so worker
-pools never affect content; records are sorted before writing and the
-timestamp comes from SOURCE_DATE_EPOCH (default 0), which keeps repeated
-runs byte-identical.
+pools never affect content.  Scans and the hunt stream their records into
+one writer, ``write_jsonl``, which keeps at most ``_RUN_LINES`` encoded
+records in memory and writes them in one order, by id and then by canonical
+JSON (``_keyed``); the timestamp comes from SOURCE_DATE_EPOCH (default 0),
+which keeps repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -204,21 +206,17 @@ def random_gluing_spec(rng: random.Random, max_multiplicity: int) -> GluingSpec:
     return _draw_gluing(rng, max_multiplicity)[0]
 
 
+def _scalars(s: NumericalSemigroup) -> list[int]:
+    """The gluing scalars a draw picks from: the non-generators of s in [2m, 4m]."""
+    return [x for x in range(2 * s.multiplicity, 4 * s.multiplicity + 1) if s.contains(x) and x not in s.generators]
+
+
 def _draw_gluing(rng: random.Random, max_multiplicity: int) -> tuple[GluingSpec, NumericalSemigroup]:
     """``random_gluing_spec`` with the gluing it was validated by building."""
     while True:
         left = random_semigroup(rng, max_multiplicity)
         right = random_semigroup(rng, max_multiplicity)
-        lam_pool = [
-            x
-            for x in range(2 * left.multiplicity, 4 * left.multiplicity + 1)
-            if left.contains(x) and x not in left.generators
-        ]
-        mu_pool = [
-            x
-            for x in range(2 * right.multiplicity, 4 * right.multiplicity + 1)
-            if right.contains(x) and x not in right.generators
-        ]
+        lam_pool, mu_pool = _scalars(left), _scalars(right)
         for _ in range(16):
             spec = GluingSpec(left, right, rng.choice(lam_pool), rng.choice(mu_pool))
             try:
@@ -246,19 +244,21 @@ def _worker_count() -> int:
     return n
 
 
-def _pmap(fn: Callable, items: Iterable) -> list:
-    """``fn`` over ``items`` in order.  A single worker consumes them one at a
-    time, so an instance drawn lazily is freed once its record is built."""
-    workers = _worker_count()
-    if workers > 1:
-        items = list(items)
+def _pmap(fn: Callable, items: Iterable) -> Iterator:
+    """``fn`` over ``items`` in order, lazily.  A single worker consumes them
+    one at a time, so an instance drawn lazily is freed once its record is
+    built.  A pool forks all its workers at once, so it has at most one per
+    CPU (and per item) whatever ``NSG_THREADS`` asks for."""
+    workers = min(_worker_count(), os.cpu_count() or 1)
+    items = items if workers == 1 else list(items)
     if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     # imported here so that no command pays for multiprocessing at startup
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
 
 
 def _random_worker(args: tuple) -> dict:
@@ -274,12 +274,8 @@ def _arithmetic_worker(args: tuple) -> dict:
 
 def _gluing_worker(args: tuple) -> dict:
     spec, built, verify, seed = args
-    provenance = {
-        "kind": "gluing",
-        "parents": [record_id(spec.left.generators), record_id(spec.right.generators)],
-        "lambda": spec.lam,
-        "mu": spec.mu,
-    }
+    parents = [record_id(spec.left.generators), record_id(spec.right.generators)]
+    provenance = {"kind": "gluing", "parents": parents, "lambda": spec.lam, "mu": spec.mu}
     return _construction_record(built, provenance, seed, _glued_invariants(spec, built) if verify else None)
 
 
@@ -290,14 +286,18 @@ def _lifting_worker(args: tuple) -> dict:
     return _construction_record(built, provenance, seed, lifted_invariants(base, k) if verify else None)
 
 
-def scan_family(family: str, seed: int, limit: int | None, max_multiplicity: int, verify: bool = False) -> list[dict]:
-    """Deterministic scan of one family; returns sorted JSON-ready records.
+def scan_family(
+    family: str, seed: int, limit: int | None, max_multiplicity: int, out: str, verify: bool = False
+) -> ScanSummary:
+    """Deterministic scan of one family, appended to ``out`` by
+    ``write_jsonl``; returns the counts of the records written.
 
     ``limit`` caps the instance count; None means the family default: the
     whole grid for ``arithmetic`` and ``DEFAULT_LIMIT`` draws otherwise.
     Workers receive the drawn semigroups, specs and gluings themselves, not
     their generators, so no drawn semigroup is rebuilt; with one worker each
-    draw is made just before its record.
+    draw is made just before its record, and no record is kept once it is
+    encoded.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"scan limit must be >= 0, got {limit}")
@@ -323,30 +323,17 @@ def scan_family(family: str, seed: int, limit: int | None, max_multiplicity: int
         records = _pmap(_lifting_worker, draws)
     else:
         raise ValueError(f"unknown family {family!r}")
-    _sort_records(records)
-    return records
+    tally = [0] * 5  # the ScanSummary fields, in order
 
+    def keyed() -> Iterator[str]:
+        for record in records:
+            inv, check = record["invariants_json"], record.get("verification", {"verified": True})
+            hits = 1, inv["gorenstein"], inv["nearly_gorenstein"], inv["question_holds"], not check["verified"]
+            tally[:] = (total + hit for total, hit in zip(tally, hits))
+            yield _keyed(record)
 
-def _sort_records(records: list[dict]) -> None:
-    """Sort in place by id, then by canonical JSON; only records whose id
-    occurs more than once (a random scan can draw one semigroup twice) are
-    encoded for the tie-break."""
-    counts = Counter(r["id"] for r in records)
-    records.sort(key=lambda r: (r["id"], canonical_json(r) if counts[r["id"]] > 1 else ""))
-
-
-def summarize(records: Iterable[dict]) -> ScanSummary:
-    records = list(records)
-    inv = [r["invariants_json"] for r in records]
-    return ScanSummary(
-        records=len(records),
-        gorenstein=sum(1 for i in inv if i["gorenstein"]),
-        nearly_gorenstein=sum(1 for i in inv if i["nearly_gorenstein"]),
-        question_holds=sum(1 for i in inv if i["question_holds"]),
-        verification_failures=sum(
-            1 for r in records if r.get("verification") and not r["verification"]["verified"]
-        ),
-    )
+    write_jsonl(out, keyed())
+    return ScanSummary(*tally)
 
 
 def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[int, int]]:
@@ -355,22 +342,19 @@ def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[
     The tree draws nothing at random, so every record's seed is 0.  Each
     genus level comes as one Apery matrix and minimal-generator mask per
     multiplicity, which goes through one ``trace_columns`` call and one
-    ``_payloads`` call; no semigroup or trace object is built.  Each record
-    is encoded as soon as it is built, and only violating records are kept.
-    With ``out``, each level's lines are sorted (by id, then by canonical
-    JSON, as ``_sort_records`` orders records) into one anonymous temporary
-    file, and the runs are merged into ``out``, appended to and opened only
-    then.  Returns (records checked, violating records sorted by id, slack
-    histogram).
+    ``_payloads`` call; no semigroup or trace object is built.  Only
+    violating records are kept.  With ``out``, each record is encoded as
+    soon as it is built and goes to ``write_jsonl``, which appends them to
+    ``out`` in record order; without it, no record is encoded.  Returns
+    (records checked, violating records in record order, slack histogram).
     """
     from .enumeration import _levels
 
     findings: list[dict] = []
     histogram: Counter = Counter()
-    with contextlib.ExitStack() as stack:
-        runs = []
+
+    def keyed() -> Iterator[str]:
         for genus, level in _levels(max_genus):
-            lines = []
             for m, (apery, mask) in level.items():
                 generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
                 trace, trace_mask, *rest = trace_columns(m, apery.tolist(), np.where(mask, apery, m))
@@ -381,24 +365,63 @@ def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[
                     if not inv["question_holds"]:
                         findings.append(rec)
                     if out is not None:
-                        # sort key first: the 16-hex-digit id and a space
-                        lines.append(f"{rec['id']} {canonical_json(rec)}\n")
-            if out is not None:
-                lines.sort()
-                run = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
-                run.writelines(lines)
-                run.seek(0)
-                runs.append(run)
-                lines.clear()  # so the last level's lines are not held through the merge
-        if out is not None:
-            with open(out, "a", encoding="utf-8") as fh:
-                fh.writelines(line[17:] for line in heapq.merge(*runs))
-    _sort_records(findings)
+                        yield _keyed(rec)
+
+    if out is None:
+        for _ in keyed():  # yields nothing: builds the findings and the histogram
+            pass
+    else:
+        write_jsonl(out, keyed())
+    findings.sort(key=_keyed)
     return sum(histogram.values()), findings, dict(sorted(histogram.items()))  # one slack per record
 
 
-def write_jsonl(path: str, records: Iterable[dict]) -> None:
-    """Append records, one canonical JSON object per line."""
-    with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(canonical_json(record) + "\n")
+# Lines per sorted run of ``write_jsonl``: it holds at most this many
+# encoded records in memory and spills each full run to a temporary file.
+_RUN_LINES = 1024
+
+# Spilled runs of one size that ``write_jsonl`` merges into one bigger run,
+# so a long write keeps few temporary files open.
+_MERGE_RUNS = 128
+
+
+def _keyed(record: dict) -> str:
+    """The JSONL line of ``record`` behind its 16-hex-digit id and a space.
+    These strings sort in record order: by id, then by canonical JSON (a
+    random scan can draw one semigroup twice)."""
+    return f"{record['id']} {canonical_json(record)}\n"
+
+
+def write_jsonl(path: str, keyed_lines: Iterable[str]) -> None:
+    """Append ``_keyed`` lines to ``path`` in sorted order, without their keys.
+
+    Every ``_RUN_LINES`` lines are sorted and spilled to an anonymous
+    temporary file (in TMPDIR), and every ``_MERGE_RUNS`` spilled runs of one
+    size are merged into one.  The spilled runs and the last lines, still in
+    memory, are merged into ``path``, which is opened only then; a write that
+    fits in one run opens no temporary file.
+    """
+    with contextlib.ExitStack() as stack:
+
+        def spill(lines: Iterable[str]) -> IO[str]:
+            run = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+            run.writelines(lines)
+            run.seek(0)
+            return run
+
+        runs: list[tuple[int, IO[str]]] = []  # (merge depth, file); depths never rise along the list
+        lines: list[str] = []
+        for line in keyed_lines:
+            if len(lines) == _RUN_LINES:
+                lines.sort()
+                runs.append((0, spill(lines)))
+                lines.clear()
+                while len(runs) >= _MERGE_RUNS and runs[-_MERGE_RUNS][0] == runs[-1][0]:
+                    depth, merging = runs[-1][0], [run for _, run in runs[-_MERGE_RUNS:]]
+                    runs[-_MERGE_RUNS:] = [(depth + 1, spill(heapq.merge(*merging)))]
+                    for run in merging:
+                        run.close()
+            lines.append(line)
+        lines.sort()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.writelines(line[17:] for line in heapq.merge(*(run for _, run in runs), lines))

@@ -205,8 +205,6 @@ def test_criterion_9_exhaustive_hunt(tmp_path):
 
 
 def test_criterion_10_scan_determinism(tmp_path):
-    from nsg.scan import write_jsonl
-
     ok = True
     for family, kwargs in (
         ("random", dict(seed=7, limit=25, max_multiplicity=9)),
@@ -215,7 +213,7 @@ def test_criterion_10_scan_determinism(tmp_path):
         ("arithmetic", dict(seed=0, limit=None, max_multiplicity=7)),
     ):
         a, b = tmp_path / f"{family}_a.jsonl", tmp_path / f"{family}_b.jsonl"
-        write_jsonl(str(a), scan_family(family, **kwargs))
-        write_jsonl(str(b), scan_family(family, **kwargs))
+        scan_family(family, out=str(a), **kwargs)
+        scan_family(family, out=str(b), **kwargs)
         ok &= a.stat().st_size > 0 and a.read_bytes() == b.read_bytes()
     report(10, ok, "repeated seeded scans of every family are byte-identical")

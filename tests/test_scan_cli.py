@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from nsg.cli import main
 from nsg.constructions import glue, lift
 from nsg.enumeration import by_genus
 from nsg.scan import (
+    ScanSummary,
     build_record,
     canonical_json,
     hunt,
@@ -29,7 +31,6 @@ from nsg.scan import (
     random_semigroup,
     record_id,
     scan_family,
-    summarize,
 )
 from nsg.semigroup import new_semigroup
 
@@ -83,55 +84,78 @@ class TestRandomGeneration:
         assert (a.left, a.right, a.lam, a.mu) == (b.left, b.right, b.lam, b.mu)
 
 
+def scan_records(tmp_path, family: str, **kwargs) -> tuple[list[dict], ScanSummary]:
+    """``scan_family(family, ..., out)`` into a new file under ``tmp_path``,
+    the records it wrote there and the summary it returned."""
+    out = tmp_path / f"scan{len(list(tmp_path.glob('scan*.jsonl')))}.jsonl"
+    summary = scan_family(family, out=str(out), **kwargs)
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert summary.records == len(records)
+    return records, summary
+
+
 class TestScanFamilies:
-    def test_records_sorted_and_reproducible(self):
-        first = scan_family("random", seed=3, limit=20, max_multiplicity=8)
-        second = scan_family("random", seed=3, limit=20, max_multiplicity=8)
+    def test_records_sorted_and_reproducible(self, tmp_path):
+        first, _ = scan_records(tmp_path, "random", seed=3, limit=20, max_multiplicity=8)
+        second, _ = scan_records(tmp_path, "random", seed=3, limit=20, max_multiplicity=8)
         assert first == second
         ids = [r["id"] for r in first]
         assert ids == sorted(ids)
 
-    def test_round_trip_recomputation(self):
-        for record in scan_family("random", seed=9, limit=10, max_multiplicity=8):
+    def test_round_trip_recomputation(self, tmp_path):
+        for record in scan_records(tmp_path, "random", seed=9, limit=10, max_multiplicity=8)[0]:
             s = new_semigroup(record["generators"])
             assert record["id"] == record_id(s.generators)
             assert record["invariants_json"] == info_payload(s)
 
-    def test_arithmetic_scan_residues(self):
-        records = scan_family("arithmetic", seed=0, limit=None, max_multiplicity=8)
+    def test_arithmetic_scan_residues(self, tmp_path):
+        records, _ = scan_records(tmp_path, "arithmetic", seed=0, limit=None, max_multiplicity=8)
         assert records
         for r in records:
             assert r["invariants_json"]["residue"] <= 1
             assert r["invariants_json"]["closure"]["acm"] is True
             assert r["provenance"]["kind"] == "arithmetic"
 
-    def test_gluing_scan_verifies(self):
-        records = scan_family("gluing", seed=42, limit=25, max_multiplicity=10, verify=True)
+    def test_gluing_scan_verifies(self, tmp_path):
+        records, summary = scan_records(tmp_path, "gluing", seed=42, limit=25, max_multiplicity=10, verify=True)
         assert len(records) == 25
-        assert summarize(records).verification_failures == 0
+        assert summary.verification_failures == 0
         for r in records:
             assert r["verification"]["verified"] is True
             assert set(r["provenance"]) == {"kind", "parents", "lambda", "mu"}
 
-    def test_construction_provenance_names_the_drawn_instances(self):
+    def test_summary_counts_the_written_records(self, tmp_path):
+        # oracle: the five counts taken over the records read back
+        records, summary = scan_records(tmp_path, "lifting", seed=1, limit=40, max_multiplicity=8, verify=True)
+        inv = [r["invariants_json"] for r in records]
+        assert summary == ScanSummary(
+            records=len(records),
+            gorenstein=sum(i["gorenstein"] for i in inv),
+            nearly_gorenstein=sum(i["nearly_gorenstein"] for i in inv),
+            question_holds=sum(i["question_holds"] for i in inv),
+            verification_failures=sum(not r["verification"]["verified"] for r in records),
+        )
+        assert 0 < summary.gorenstein < summary.nearly_gorenstein < summary.records
+
+    def test_construction_provenance_names_the_drawn_instances(self, tmp_path):
         rng = random.Random(42)
         specs = [random_gluing_spec(rng, 8) for _ in range(10)]
         expected = sorted(
             (list(glue(s).generators), [record_id(s.left.generators), record_id(s.right.generators)], s.lam, s.mu)
             for s in specs
         )
-        records = scan_family("gluing", seed=42, limit=10, max_multiplicity=8)
+        records, _ = scan_records(tmp_path, "gluing", seed=42, limit=10, max_multiplicity=8)
         got = sorted((r["generators"], *(r["provenance"][key] for key in ("parents", "lambda", "mu"))) for r in records)
         assert got == expected
 
         rng = random.Random(42)
         lifts = [random_lift(rng, 8) for _ in range(10)]
         expected = sorted((list(lift(base, k).generators), record_id(base.generators), k) for base, k in lifts)
-        records = scan_family("lifting", seed=42, limit=10, max_multiplicity=8)
+        records, _ = scan_records(tmp_path, "lifting", seed=42, limit=10, max_multiplicity=8)
         got = sorted((r["generators"], r["provenance"]["parent"], r["provenance"]["k"]) for r in records)
         assert got == expected
 
-    def test_gluing_scan_builds_each_gluing_once(self, monkeypatch):
+    def test_gluing_scan_builds_each_gluing_once(self, tmp_path, monkeypatch):
         events = []
         gluing_worker = scan_mod._gluing_worker
 
@@ -146,23 +170,50 @@ class TestScanFamilies:
 
         monkeypatch.setattr(scan_mod, "glue", counting_glue)
         monkeypatch.setattr(scan_mod, "_gluing_worker", counting_worker)
-        records = scan_family("gluing", seed=42, limit=10, max_multiplicity=8, verify=True)
+        records, _ = scan_records(tmp_path, "gluing", seed=42, limit=10, max_multiplicity=8, verify=True)
         # one build per record, drawn just before it: no drawn gluing waits in a list
         assert len(records) == 10
         assert events == ["glue", "record"] * 10
 
-    def test_lifting_scan_verifies(self):
-        records = scan_family("lifting", seed=42, limit=25, max_multiplicity=10, verify=True)
-        assert summarize(records).verification_failures == 0
+    def test_lifting_scan_verifies(self, tmp_path):
+        _, summary = scan_records(tmp_path, "lifting", seed=42, limit=25, max_multiplicity=10, verify=True)
+        assert summary.verification_failures == 0
 
     @pytest.mark.parametrize("family", ["random", "arithmetic", "gluing", "lifting"])
-    def test_worker_pool_output_identical(self, monkeypatch, family):
+    def test_worker_pool_output_identical(self, tmp_path, monkeypatch, family):
         # the pooled workers receive pickled semigroups and gluing specs
-        baseline = scan_family(family, seed=5, limit=12, max_multiplicity=8, verify=True)
+        baseline = scan_records(tmp_path, family, seed=5, limit=12, max_multiplicity=8, verify=True)
         monkeypatch.setenv("NSG_THREADS", "3")
-        pooled = scan_family(family, seed=5, limit=12, max_multiplicity=8, verify=True)
-        assert len(baseline) == 12
+        pooled = scan_records(tmp_path, family, seed=5, limit=12, max_multiplicity=8, verify=True)
+        assert len(baseline[0]) == 12
         assert baseline == pooled
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, tmp_path, monkeypatch):
+        # a stand-in pool that maps inline: no real pool of this size is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        def scans():
+            return [scan_records(tmp_path, "random", seed=5, limit=n, max_multiplicity=8) for n in (12, 3)]
+
+        baseline = scans()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("NSG_THREADS", "20000")
+        assert scans() == baseline
+        assert sizes == [4, 3]
 
     def test_cli_import_leaves_the_process_pool_out(self):
         # the pool is imported only when a scan runs more than one worker
@@ -173,9 +224,34 @@ class TestScanFamilies:
         assert result.stdout == "False\n"
 
     @pytest.mark.parametrize("family", ["random", "arithmetic", "gluing", "lifting"])
-    def test_negative_limit_refused(self, family):
+    def test_negative_limit_refused(self, tmp_path, family):
+        out = tmp_path / "scan.jsonl"
         with pytest.raises(ValueError):
-            scan_family(family, seed=0, limit=-1, max_multiplicity=5)
+            scan_family(family, seed=0, limit=-1, max_multiplicity=5, out=str(out))
+        assert not out.exists()
+
+    def test_records_are_not_held(self, tmp_path, monkeypatch):
+        # four runs' worth of records: holding every record until the end
+        # peaks near 1.7 MiB here, the stream near 0.16 MiB
+        monkeypatch.setattr(scan_mod, "_RUN_LINES", 256)
+        tracemalloc.start()
+        try:
+            scan_family("random", seed=0, limit=4 * scan_mod._RUN_LINES, max_multiplicity=3, out=str(tmp_path / "s.jsonl"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+
+
+@pytest.fixture
+def run_dir(tmp_path, monkeypatch):
+    """An empty TMPDIR for the temporary run files."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    monkeypatch.setenv("TMPDIR", str(runs))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    assert tempfile.gettempdir() == str(runs)
+    return runs
 
 
 def hunt_records(tmp_path, max_genus: int) -> tuple[list[dict], list[dict], dict[int, int]]:
@@ -234,19 +310,18 @@ class TestHunt:
         assert histogram == dict(sorted(Counter(r["invariants_json"]["slack"] for r in expected).items()))
         assert hunt(10) == (checked, findings, histogram)
 
-    def test_no_run_file_is_left(self, tmp_path, monkeypatch):
-        runs = tmp_path / "runs"
-        runs.mkdir()
-        monkeypatch.setenv("TMPDIR", str(runs))
-        monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
-        assert tempfile.gettempdir() == str(runs)
+    def test_no_run_file_is_left(self, tmp_path, monkeypatch, run_dir):
         hunt(6, str(tmp_path / "hunt.jsonl"))
-        assert list(runs.iterdir()) == []
+        # a scan of 300 records in runs of 3 spills 99 runs and merges them
+        monkeypatch.setattr(scan_mod, "_RUN_LINES", 3)
+        monkeypatch.setattr(scan_mod, "_MERGE_RUNS", 3)
+        scan_family("random", seed=2, limit=300, max_multiplicity=3, out=str(tmp_path / "scan.jsonl"))
+        assert list(run_dir.iterdir()) == []
 
     def test_records_are_not_held(self, tmp_path):
         # holding every record until the end peaks near 2.9 MiB here, and
-        # holding every encoded line near 1.1 MiB; the stream holds one
-        # level's lines and peaks near 0.7 MiB
+        # holding every encoded line near 1.1 MiB; the stream holds at most
+        # one run of lines and peaks near 0.74 MiB
         tracemalloc.start()
         try:
             hunt(12, str(tmp_path / "hunt.jsonl"))
@@ -254,6 +329,96 @@ class TestHunt:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def written(tmp_path, write) -> bytes:
+    """The bytes that ``write(out)`` appends to a new file ``out``."""
+    out = tmp_path / f"out{len(list(tmp_path.glob('out*.jsonl')))}.jsonl"
+    write(str(out))
+    return out.read_bytes()
+
+
+class TestSortedRuns:
+    # max_multiplicity 3 draws one semigroup many times; in the lifting scan
+    # one semigroup also comes from different bases, so one id has
+    # different records and the canonical JSON breaks the tie
+    WRITES = {
+        "hunt": lambda out: hunt(8, out),
+        "scan": lambda out: scan_family("random", seed=2, limit=300, max_multiplicity=3, out=out),
+        "lifting": lambda out: scan_family("lifting", seed=2, limit=300, max_multiplicity=3, out=out),
+    }
+
+    @pytest.mark.parametrize("merge_runs", [None, 3], ids=["spilled", "merged"])
+    @pytest.mark.parametrize("command, threads", [("hunt", "1"), ("scan", "1"), ("scan", "2"), ("lifting", "1")])
+    def test_runs_leave_the_bytes_unchanged(self, tmp_path, monkeypatch, command, threads, merge_runs):
+        write = self.WRITES[command]
+        expected = written(tmp_path, write)
+        lines = expected.splitlines()
+        assert len(lines) > 100  # more than 33 runs of 3 lines
+        assert lines == sorted(lines, key=lambda line: (json.loads(line)["id"], line))
+        if command == "lifting":
+            assert len({json.loads(line)["id"] for line in lines}) < len(set(lines))
+        monkeypatch.setenv("NSG_THREADS", threads)
+        monkeypatch.setattr(scan_mod, "_RUN_LINES", 3)
+        if merge_runs is not None:
+            monkeypatch.setattr(scan_mod, "_MERGE_RUNS", merge_runs)
+        assert written(tmp_path, write) == expected
+
+    def test_merges_bound_the_open_runs(self, tmp_path, monkeypatch):
+        # 155 lines in runs of 3 are 51 runs, merged 3 at a time into 17
+        # runs of 9 lines, 5 of 27 and 1 of 81; besides the 3 runs being
+        # merged and the run they go into, at most 2 runs of each larger
+        # size stay open, where the 51 runs alone would hold 51 files
+        real = tempfile.TemporaryFile
+        opened, peak = [], 0
+
+        def counting(*args, **kwargs):
+            nonlocal peak
+            opened.append(real(*args, **kwargs))
+            peak = max(peak, sum(not f.closed for f in opened))
+            return opened[-1]
+
+        monkeypatch.setattr(scan_mod, "_RUN_LINES", 3)
+        monkeypatch.setattr(scan_mod, "_MERGE_RUNS", 3)
+        monkeypatch.setattr(tempfile, "TemporaryFile", counting)
+        hunt(8, str(tmp_path / "hunt.jsonl"))
+        assert len(opened) == 51 + 17 + 5 + 1
+        assert peak <= 3 + 1 + 2 * 3
+        assert all(f.closed for f in opened)
+
+    def test_one_run_opens_no_file(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a write under the cap spilled a run")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        scan_family("random", seed=0, limit=scan_mod._RUN_LINES, max_multiplicity=3, out=str(tmp_path / "s.jsonl"))
+
+    def test_failed_worker_leaves_no_file(self, tmp_path, monkeypatch, run_dir):
+        random_worker = scan_mod._random_worker
+        built = []
+
+        def failing_worker(args):
+            if len(built) == 20:  # after six runs of 3 were spilled
+                raise RuntimeError("worker failed")
+            built.append(args)
+            return random_worker(args)
+
+        spilled = []
+        real = tempfile.TemporaryFile
+
+        def recording(*args, **kwargs):
+            spilled.append(real(*args, **kwargs))
+            return spilled[-1]
+
+        monkeypatch.setattr(scan_mod, "_RUN_LINES", 3)
+        monkeypatch.setattr(scan_mod, "_random_worker", failing_worker)
+        monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+        out = tmp_path / "scan.jsonl"
+        with pytest.raises(RuntimeError, match="worker failed"):
+            scan_family("random", seed=0, limit=50, max_multiplicity=8, out=str(out))
+        assert len(spilled) == 6 and all(f.closed for f in spilled)
+        assert list(run_dir.iterdir()) == []
+        assert not out.exists()
 
 
 class TestCli:
@@ -393,11 +558,11 @@ class TestCli:
             assert len(out.read_text().splitlines()) == records
 
     def test_scan_io_error_exits_4(self, runner, tmp_path):
-        missing_dir = tmp_path / "nope" / "scan.jsonl"
-        result = runner.invoke(
-            main, ["scan", "random", "--seed", "1", "--limit", "2", "--out", str(missing_dir)]
-        )
+        out = tmp_path / "nope" / "scan.jsonl"
+        result = runner.invoke(main, ["scan", "random", "--seed", "1", "--limit", "2", "--out", str(out)])
         assert result.exit_code == 4
+        assert result.stderr == f"cannot write {out}: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert result.stdout == ""
 
     def test_hunt_io_error_exits_4(self, runner, tmp_path):
         out = tmp_path / "nope" / "h.jsonl"
