@@ -13,12 +13,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import heapq
+import itertools
 import json
 import math
 import os
 import random
 import tempfile
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -244,21 +245,37 @@ def _worker_count() -> int:
     return n
 
 
-def _pmap(fn: Callable, items: Iterable) -> Iterator:
-    """``fn`` over ``items`` in order, lazily.  A single worker consumes them
-    one at a time, so an instance drawn lazily is freed once its record is
-    built.  A pool forks all its workers at once, so it has at most one per
-    CPU (and per item) whatever ``NSG_THREADS`` asks for."""
-    workers = min(_worker_count(), os.cpu_count() or 1)
-    items = items if workers == 1 else list(items)
-    if workers == 1 or len(items) <= 1:
+_CHUNK = 64  # at most this many items to one pool task
+_AHEAD = 2  # pool tasks in flight per worker
+
+
+def _pmap(fn: Callable, items: Iterable, count: int) -> Iterator:
+    """``fn`` over the ``count`` ``items`` in order, lazily.  A single worker
+    consumes them one at a time, so an instance drawn lazily is freed once
+    its record is built.  A pool forks all its workers at once, so it has at
+    most one per CPU (and per item) whatever ``NSG_THREADS`` asks for; it
+    draws items only to submit a chunk, and keeps at most ``_AHEAD`` chunks
+    per worker in flight, so neither items nor finished records pile up."""
+    workers = min(_worker_count(), os.cpu_count() or 1, count)
+    if workers <= 1:
         yield from map(fn, items)
         return
     # imported here so that no command pays for multiprocessing at startup
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
+    size = min(_CHUNK, max(1, count // (4 * workers)))
+    items = iter(items)
+    chunks = iter(lambda: list(itertools.islice(items, size)), [])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(_map_chunk, fn, chunk) for chunk in itertools.islice(chunks, _AHEAD * workers))
+        while pending:
+            done = pending.popleft().result()
+            pending.extend(pool.submit(_map_chunk, fn, chunk) for chunk in itertools.islice(chunks, 1))
+            yield from done
+
+
+def _map_chunk(fn: Callable, chunk: list) -> list:
+    return [fn(item) for item in chunk]
 
 
 def _random_worker(args: tuple) -> dict:
@@ -305,7 +322,7 @@ def scan_family(
     count = DEFAULT_LIMIT if limit is None else limit
     if family == "random":
         draws = ((random_semigroup(rng, max_multiplicity), seed) for _ in range(count))
-        records = _pmap(_random_worker, draws)
+        records = _pmap(_random_worker, draws, count)
     elif family == "arithmetic":
         items = []
         for n1 in range(3, max_multiplicity + 1):
@@ -314,13 +331,14 @@ def scan_family(
                     continue
                 for e in range(3, n1 + 1):
                     items.append((n1, d, e, seed))
-        records = _pmap(_arithmetic_worker, items[:limit])
+        items = items[:limit]
+        records = _pmap(_arithmetic_worker, items, len(items))
     elif family == "gluing":
         draws = ((*_draw_gluing(rng, max_multiplicity), verify, seed) for _ in range(count))
-        records = _pmap(_gluing_worker, draws)
+        records = _pmap(_gluing_worker, draws, count)
     elif family == "lifting":
         draws = ((*random_lift(rng, max_multiplicity), verify, seed) for _ in range(count))
-        records = _pmap(_lifting_worker, draws)
+        records = _pmap(_lifting_worker, draws, count)
     else:
         raise ValueError(f"unknown family {family!r}")
     tally = [0] * 5  # the ScanSummary fields, in order

@@ -202,8 +202,10 @@ class TestScanFamilies:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         def scans():
             return [scan_records(tmp_path, "random", seed=5, limit=n, max_multiplicity=8) for n in (12, 3)]
@@ -222,6 +224,66 @@ class TestScanFamilies:
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert result.stdout == "False\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+    def test_import_starts_no_blas_thread_pool(self):
+        # nsg calls no BLAS routine, so its import leaves numpy's OpenBLAS one
+        # thread and the environment as it found it; a caller's setting wins
+        blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {name: value for name, value in os.environ.items() if name not in blas}
+        env["PYTHONPATH"] = str(Path(scan_mod.__file__).parents[1])
+        code = "import os; env = dict(os.environ); import {}; print(len(os.listdir('/proc/self/task')), env == os.environ)"
+
+        def threads(module, **extra):
+            argv = [sys.executable, "-c", code.format(module)]
+            return subprocess.run(argv, capture_output=True, text=True, check=True, env={**env, **extra}).stdout
+
+        assert threads("nsg") == "1 True\n"
+        assert threads("nsg", OPENBLAS_NUM_THREADS="2") == threads("numpy", OPENBLAS_NUM_THREADS="2")
+
+    def test_pool_keeps_few_chunks_in_flight(self, monkeypatch):
+        # a stand-in pool that maps inline and counts the chunks submitted
+        # but not yet read; the items are drawn only as chunks are submitted
+        in_flight, peak, drawn = [], [], []
+
+        class Future:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                in_flight.remove(self)
+                return self.value
+
+        class CountingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                in_flight.append(Future(fn(*args)))
+                peak.append(len(in_flight))
+                return in_flight[-1]
+
+        def items():
+            for item in range(1000):
+                drawn.append(item)
+                yield item
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("NSG_THREADS", "2")
+        bound = 2 * scan_mod._AHEAD
+        out = []
+        for value in scan_mod._pmap(str, items(), 1000):
+            out.append(value)
+            assert len(drawn) - len(out) < (bound + 1) * scan_mod._CHUNK
+        assert out == [str(item) for item in range(1000)]
+        assert max(peak) == bound
 
     @pytest.mark.parametrize("family", ["random", "arithmetic", "gluing", "lifting"])
     def test_negative_limit_refused(self, tmp_path, family):

@@ -1,0 +1,92 @@
+"""Time the start and exit of fresh processes: the interpreter, numpy, nsg.
+
+    python tools/startup_timing.py [--src SRC_DIR] [--rounds N] [--json]
+
+Each round runs one fresh child interpreter for each of ``python -c pass``,
+``import numpy``, ``nsg --help`` and ``nsg hunt --max-genus 14``, with
+``nsg`` imported from SRC_DIR (default ``src`` beside this script),
+NSG_THREADS=1 and SOURCE_DATE_EPOCH=0; the rest of the environment is this
+process's, so an OPENBLAS_NUM_THREADS set by the caller reaches the
+children.  For each command it prints the median over N rounds (default 9)
+of the wall time until the child has exited, its user + system CPU time and
+peak resident set size (``os.wait4``), and the number of threads the child
+runs as it exits (``/proc/self/task``, read from an ``atexit`` hook):
+
+    nsg --help: wall 0.160 s, cpu 0.158 s, peak RSS 30.1 MiB, threads 1
+
+``--json`` prints one JSON list of the per-command medians instead.  Point
+``--src`` at another checkout's ``src`` to compare two commits.  The thread
+count needs Linux's ``/proc``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+# the hook's line is the child's last on stderr: the threads still running
+# once the command is done
+HOOK = "import atexit, os, sys; atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+NSG = "import runpy, sys; sys.argv[1:] = {!r}; runpy.run_module('nsg.cli', run_name='__main__', alter_sys=True)"
+COMMANDS = {
+    "python -c pass": "pass",
+    "import numpy": "import numpy",
+    "nsg --help": NSG.format(["--help"]),
+    "nsg hunt --max-genus 14": NSG.format(["hunt", "--max-genus", "14"]),
+}
+
+
+def measure(src: Path, code: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(src), "SOURCE_DATE_EPOCH": "0", "NSG_THREADS": "1"}
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-c", HOOK + code], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    with child.stderr:
+        err = child.stderr.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise RuntimeError(f"{code!r} exited {child.returncode}: {err.decode(errors='replace')}")
+    return {
+        "wall_s": wall,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "peak_rss_mib": usage.ru_maxrss / 1024,
+        "threads": int(err.split()[-1]),
+    }
+
+
+def main(argv: list[str]) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
+    parser.add_argument("--rounds", type=int, default=9)
+    parser.add_argument("--json", action="store_true")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    samples: dict[str, list[dict]] = {name: [] for name in COMMANDS}
+    for _ in range(args.rounds):
+        for name, code in COMMANDS.items():
+            samples[name].append(measure(args.src.resolve(), code))
+    results = []
+    for name, rows in samples.items():
+        row = {"command": name, "rounds": args.rounds}
+        row.update({key: statistics.median(r[key] for r in rows) for key in rows[0]})
+        results.append(row)
+        if not args.json:
+            print(
+                f"{name}: wall {row['wall_s']:.3f} s, cpu {row['cpu_s']:.3f} s, "
+                f"peak RSS {row['peak_rss_mib']:.1f} MiB, threads {row['threads']:g}",
+                flush=True,
+            )
+    if args.json:
+        print(json.dumps(results))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
