@@ -90,7 +90,17 @@ def info(generators: str, as_json: bool, toric: bool) -> None:
         _echo_table(payload)
 
 
-def _report_verification(predicted, built, as_json: bool) -> None:
+def _report_construction(predicted, built, verify: bool, as_json: bool) -> None:
+    """Print the predicted invariants of ``built``, or with ``verify`` the
+    check of each prediction against the direct computation, which exits 3
+    when one fails."""
+    if not verify:
+        payload = {"generators": list(built.generators), "predicted": predicted.to_json()}
+        if as_json:
+            click.echo(canonical_json(payload))
+        else:
+            _echo_table(payload)
+        return
     outcome = verify_construction(predicted, built)
     if as_json:
         click.echo(
@@ -109,17 +119,6 @@ def _report_verification(predicted, built, as_json: bool) -> None:
             click.echo(f"discrepancies: {', '.join(outcome.discrepancies)}")
     if not outcome.verified:
         sys.exit(3)
-
-
-def _report_construction(predicted, built, verify: bool, as_json: bool) -> None:
-    if verify:
-        _report_verification(predicted, built, as_json)
-        return
-    payload = {"generators": list(built.generators), "predicted": predicted.to_json()}
-    if as_json:
-        click.echo(canonical_json(payload))
-    else:
-        _echo_table(payload)
 
 
 @main.command(name="glue")

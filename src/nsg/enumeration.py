@@ -25,7 +25,7 @@ import numpy as np
 
 from .semigroup import NumericalSemigroup, _fold, _sorted_rows, new_semigroup
 
-__all__ = ["children", "by_genus"]
+__all__ = ["children"]
 
 
 def _minimal(apery: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -82,13 +82,3 @@ def children(s: NumericalSemigroup) -> list[NumericalSemigroup]:
     mask[0, np.array(s.generators[1:], np.int64) % m] = True
     level = _step({m: (np.array([s.apery]), mask)})
     return [new_semigroup([m, *gens]) for m, (apery, mask) in level.items() for gens in _sorted_rows(apery, mask)]
-
-
-def by_genus(max_genus: int) -> Iterator[tuple[int, list[NumericalSemigroup]]]:
-    """Yield (genus, all semigroups of that genus) for genus 1..max_genus,
-    grouped by multiplicity, each built by ``new_semigroup`` from its
-    minimal generators."""
-    for genus, level in _levels(max_genus):
-        yield genus, [
-            new_semigroup([m, *gens]) for m, (apery, mask) in level.items() for gens in _sorted_rows(apery, mask)
-        ]

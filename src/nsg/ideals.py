@@ -18,23 +18,22 @@ cost whatever F is:
   a + J[(c - a) mod m].
 
 The head (the elements below the conductor), an O(F) list, is computed
-only when it is read.  ``trace_columns`` stacks the Apery vectors of many
-semigroups of one multiplicity into one matrix and runs each step of the
-trace on all its rows; ``trace_reports`` and ``trace_and_residue`` wrap its
-columns into ``TraceReport`` objects, and ``nsg hunt`` reads them as they
-are.
+only when it is read.  ``trace_columns`` takes the Apery matrix of many
+semigroups of one multiplicity and runs each step of the trace on all its
+rows; ``trace_and_residue`` is its one-row call, wrapped into a
+``TraceReport``, and ``nsg hunt`` passes the columns of each genus level
+straight to its payloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import AmbientMismatch, TrivialSemigroup
-from .semigroup import NumericalSemigroup, _fold, _maximal, _members, _row
+from .semigroup import NumericalSemigroup, _fold, _maximal, _members, _row, _sorted_rows
 
 __all__ = [
     "RelativeIdeal",
@@ -45,7 +44,6 @@ __all__ = [
     "ideal_sum",
     "minimal_generators",
     "trace_and_residue",
-    "trace_reports",
     "trace_columns",
     "classification",
     "gap_bound_check",
@@ -250,43 +248,21 @@ def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
 
 
 def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
-    """Canonical trace ideal, residue, and genus: ``trace_reports([s])[0]``,
-    without the grouping by multiplicity."""
-    return _reports(s.multiplicity, [s])[0]
-
-
-def trace_reports(semigroups: Iterable[NumericalSemigroup]) -> list[TraceReport]:
-    """The ``TraceReport`` of each semigroup, in input order: the semigroups
-    of each multiplicity go through one ``trace_columns`` call."""
-    semigroups = list(semigroups)
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(semigroups):
-        groups.setdefault(s.multiplicity, []).append(i)
-    out = {i: r for m, rows in groups.items() for i, r in zip(rows, _reports(m, [semigroups[i] for i in rows]))}
-    return [out[i] for i in range(len(semigroups))]
-
-
-def _reports(m: int, group: list[NumericalSemigroup]) -> list[TraceReport]:
-    """``trace_reports`` of semigroups that share the multiplicity m; each
-    trace row is listed once, for its ideal and its minimal generators."""
-    width = max(len(s.generators) for s in group)
-    gens = np.array([s.generators + (m,) * (width - len(s.generators)) for s in group])
-    trace, trace_mask, *columns = trace_columns(m, [s.apery for s in group], gens)
-    return [
-        TraceReport(_ideal(s, x), tuple(sorted(compress(x, keep))), tuple(pf), residue, genus)
-        for s, x, keep, pf, residue, genus in zip(group, trace.tolist(), trace_mask.tolist(), *columns)
-    ]
+    """Canonical trace ideal, residue, and genus: ``trace_columns`` on the
+    one row of ``s``."""
+    trace, (tg,), (pf,), (residue,), (genus,) = trace_columns(s.multiplicity, _row(s.apery), np.array([s.generators]))
+    return TraceReport(_ideal(s, trace[0].tolist()), tuple(tg), tuple(pf), residue, genus)
 
 
 def trace_columns(
-    m: int, rows: Sequence[Sequence[int]], gens: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[list[int]], list[int], list[int]]:
+    m: int, apery: np.ndarray, gens: np.ndarray
+) -> tuple[np.ndarray, list[list[int]], list[list[int]], list[int], list[int]]:
     """The canonical trace of the semigroups of multiplicity m whose Apery
-    sets, indexed by residue, are ``rows`` and whose minimal generators are
-    the matching rows of the integer matrix ``gens`` (padded with m), as
-    columns: the (len(rows) x m) trace class-minimum matrix and the mask of its
-    minimal generators, and per row the sorted pseudo-Frobenius numbers, the
-    residue and the genus.
+    sets, indexed by residue, are the rows of the integer matrix ``apery``
+    and whose minimal generators are the matching rows of the integer
+    matrix ``gens`` (padded with m), as columns: the (rows x m) trace
+    class-minimum matrix, and per row the sorted minimal generators of the
+    trace, the sorted pseudo-Frobenius numbers, the residue and the genus.
 
     The trace is K + (S - K), all on class-minimum vectors, where K is
     generated by F - x over the pseudo-Frobenius numbers x; each of
@@ -299,8 +275,7 @@ def trace_columns(
     bug, not data.  The naturals, with the one maximal Apery element 0, get
     the pseudo-Frobenius list [-1].
     """
-    apery = np.array(rows)
-    pfs = [[w - m for w in sorted(compress(row, keep))] for row, keep in zip(rows, _maximal(apery, gens).tolist())]
+    pfs = [[w - m for w in row] for row in _sorted_rows(apery, _maximal(apery, gens))]
     depth = max(map(len, pfs))
     # the largest pseudo-Frobenius number is F
     kan_gens = np.array([[pf[-1] - x for x in pf] + [0] * (depth - len(pf)) for pf in pfs])
@@ -317,7 +292,7 @@ def trace_columns(
             raise AssertionError(f"symmetry test and residue disagree on {s}: genus {genus}, residue {residue}")
         residues.append(residue)
         genera.append(genus)
-    return trace, _generator_mask(trace, gens), pfs, residues, genera
+    return trace, _sorted_rows(trace, _generator_mask(trace, gens)), pfs, residues, genera
 
 
 def gap_bound_check(s: NumericalSemigroup) -> TraceReport:

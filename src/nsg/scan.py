@@ -375,8 +375,7 @@ def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[
         for genus, level in _levels(max_genus):
             for m, (apery, mask) in level.items():
                 generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
-                trace, trace_mask, *rest = trace_columns(m, apery.tolist(), np.where(mask, apery, m))
-                columns = trace, _sorted_rows(trace, trace_mask), *rest
+                columns = trace_columns(m, apery, np.where(mask, apery, m))
                 for g, inv in zip(generators, _payloads(m, apery, generators, columns, slack=True)):
                     histogram[inv["slack"]] += 1
                     rec = build_record(g, {"kind": "hunt", "genus": genus}, 0, inv)

@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive: plain-Python dynamic programming,
 exhaustive scans over raw integer sets, and direct fiber enumeration.  None
-of it shares code paths with the implementations under test.
+of it shares code paths with the implementations under test; the one helper
+that calls the package, ``tree_by_genus``, builds each semigroup from a
+generating set with ``new_semigroup``, not through the Apery-matrix tree.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def window(generators: Sequence[int]) -> int:
@@ -153,6 +155,18 @@ def deletion_generators(generators: Sequence[int], frobenius: int) -> list[list[
         for g in generators
         if g > frobenius
     ]
+
+
+def tree_by_genus(max_genus: int) -> Iterator[tuple[int, list]]:
+    """Yield (genus, the semigroups of that genus) for genus 1..max_genus:
+    each level is the children of the one before, from <1>, each child built
+    by ``new_semigroup`` from a ``deletion_generators`` set."""
+    from nsg.semigroup import new_semigroup
+
+    level = [new_semigroup([1])]
+    for genus in range(1, max_genus + 1):
+        level = [new_semigroup(gens) for s in level for gens in deletion_generators(s.generators, s.frobenius)]
+        yield genus, level
 
 
 def gap_sets_by_genus(genus: int) -> list[frozenset[int]]:

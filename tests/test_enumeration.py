@@ -1,14 +1,15 @@
 """The genus tree held as Apery matrices (``nsg.enumeration``) against the
-generator route of ``oracles.deletion_generators``, where each child is
-built from a generating set by ``new_semigroup``, and against A007323."""
+generator route of ``oracles.deletion_generators`` and
+``oracles.tree_by_genus``, where each child is built from a generating set
+by ``new_semigroup``, and against A007323."""
 
 from hypothesis import example, given, settings
 
 import nsg.enumeration
-from nsg.enumeration import _levels, by_genus, children
+from nsg.enumeration import _levels, children
 from nsg.semigroup import _sorted_rows, new_semigroup
 
-from oracles import deletion_generators
+from oracles import deletion_generators, tree_by_genus
 from strategies import semigroups
 
 # A007323: numerical semigroups of genus 0, 1, 2, ...
@@ -36,11 +37,11 @@ def listed(level):
 
 
 def test_tree_matches_generator_route_to_genus_18():
-    level = [new_semigroup([1])]
-    for (genus, semigroups), (_, rows) in zip(by_genus(18), _levels(18)):
-        level = [child for s in level for child in oracle_children(s)]
+    for (genus, level), (_, rows) in zip(tree_by_genus(18), _levels(18)):
         expected = sorted(map(stored, level))
         assert sorted(listed(rows)) == expected, genus
+        # each row's listed generators are minimal: new_semigroup reduces none
+        semigroups = [new_semigroup(gens) for _, _, gens, _ in listed(rows)]
         assert sorted(map(stored, semigroups)) == expected, genus
         assert not any(s.was_reduced for s in semigroups)
 

@@ -15,9 +15,8 @@ from nsg.ideals import (
     ideal_sum,
     minimal_generators,
     trace_and_residue,
-    trace_reports,
+    trace_columns,
 )
-from nsg.enumeration import by_genus
 from nsg.semigroup import _BLOCK, gap_profile, new_semigroup, pseudo_frobenius
 
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     brute_sum,
     brute_symmetric,
     brute_trace,
+    tree_by_genus,
     window,
 )
 from strategies import semigroups
@@ -44,6 +44,36 @@ def shifted(ideal, a):
     """The translate a + ideal: class c holds a plus the minimum of class c - a."""
     m = len(ideal.mins)
     return RelativeIdeal(ideal.ambient, tuple(ideal.mins[(c - a) % m] + a for c in range(m)))
+
+
+def by_multiplicity(xs):
+    """The semigroups of xs grouped by multiplicity, each group in input order."""
+    groups = {}
+    for s in xs:
+        groups.setdefault(s.multiplicity, []).append(s)
+    return list(groups.values())
+
+
+def as_rows(columns):
+    """``trace_columns`` output as one (trace class minima, trace minimal
+    generators, pf, residue, genus) tuple per row."""
+    trace, *lists = columns
+    return [(tuple(x), tuple(tg), tuple(pf), r, g) for x, tg, pf, r, g in zip(trace.tolist(), *lists)]
+
+
+def trace_rows(group):
+    """The rows of one ``trace_columns`` call on semigroups of one
+    multiplicity m, their generators padded with m."""
+    m = group[0].multiplicity
+    width = max(len(s.generators) for s in group)
+    gens = np.array([s.generators + (m,) * (width - len(s.generators)) for s in group])
+    return as_rows(trace_columns(m, np.array([s.apery for s in group]), gens))
+
+
+def report_row(s):
+    """The ``trace_and_residue`` report of s as a ``trace_rows`` row."""
+    r = trace_and_residue(s)
+    return r.trace.mins, r.trace_min_gens, r.pf, r.residue, r.genus
 
 
 class TestRelativeIdeal:
@@ -240,9 +270,6 @@ class TestTraceAndResidue:
 
 
 class TestTraceReports:
-    def test_empty(self):
-        assert trace_reports([]) == []
-
     def test_symmetry_cross_check_names_the_row(self, monkeypatch):
         # a trace equal to the semigroup has residue 0, which the symmetry
         # count refutes for <3, 4, 5> (genus 2, F = 2) but not for <3, 5>
@@ -251,12 +278,13 @@ class TestTraceReports:
         monkeypatch.setattr(nsg.ideals, "_sum", lambda gens, x: x)
         monkeypatch.setattr(nsg.ideals, "_dual", lambda apery, gens: apery)
         with pytest.raises(AssertionError, match=r"NumericalSemigroup\(\[3, 4, 5\]\).*genus 2, residue 0"):
-            trace_reports([new_semigroup([3, 5]), new_semigroup([3, 4, 5])])
+            trace_rows([new_semigroup([3, 5]), new_semigroup([3, 4, 5])])
 
     def test_genus_tree_in_one_call(self):
-        # every multiplicity of the tree to genus 12, interleaved, in one call
-        xs = [new_semigroup([1])] + [s for _, level in by_genus(12) for s in level]
-        assert trace_reports(xs) == [trace_and_residue(s) for s in xs]
+        # the tree to genus 12 with its genera interleaved, one call per multiplicity
+        xs = [new_semigroup([1])] + [s for _, level in tree_by_genus(12) for s in level]
+        for group in by_multiplicity(xs):
+            assert trace_rows(group) == [report_row(s) for s in group]
 
 
 @st.composite
@@ -278,15 +306,17 @@ def semigroup_lists(draw):
 @given(semigroup_lists())
 @example([new_semigroup(g) for g in ([3, 5, 7], [1], [3, 4], [5, 6, 7, 8, 9], [3, 5, 7], [4, 5, 7])])
 def test_trace_reports_equal_one_by_one_in_input_order(xs):
-    assert trace_reports(xs) == [trace_and_residue(s) for s in xs]
+    for group in by_multiplicity(xs):
+        assert trace_rows(group) == [report_row(s) for s in group]
 
 
 @settings(max_examples=25, deadline=None)
 @given(semigroup_lists())
 def test_trace_reports_pf_and_residue_match_oracles(xs):
-    for s, report in zip(xs, trace_reports(xs), strict=True):
-        assert report.residue == brute_residue(s.generators, s.frobenius)
-        assert list(report.pf) == ([-1] if s.is_naturals else brute_pf(s.generators, s.frobenius))
+    for group in by_multiplicity(xs):
+        for s, (_, _, pf, residue, _) in zip(group, trace_rows(group), strict=True):
+            assert residue == brute_residue(s.generators, s.frobenius)
+            assert list(pf) == ([-1] if s.is_naturals else brute_pf(s.generators, s.frobenius))
 
 
 class TestGapBoundCheck:
@@ -544,14 +574,16 @@ def test_large_frobenius_ideal_memory(operation):
 def test_stacked_batch_memory():
     # 1,000 rows with m = 200 and 60 generators: one unblocked (rows x
     # generators x m) int64 gather takes 92 MiB, while a blocked one holds at
-    # most _BLOCK elements; beyond the reports it returns, the peak stays
+    # most _BLOCK elements; beyond the columns it returns, the peak stays
     # under two such blocks
     s = new_semigroup(range(200, 260))
+    apery, gens = np.array([s.apery] * 1000), np.array([s.generators] * 1000)
     tracemalloc.start()
     try:
-        reports = trace_reports([s] * 1000)
+        columns = trace_columns(200, apery, gens)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert reports[0] == reports[-1] == trace_and_residue(s)
+    rows = as_rows(columns)
+    assert rows[0] == rows[-1] == report_row(s)
     assert peak - kept < 2 * 8 * _BLOCK

@@ -127,8 +127,7 @@ def test_level_payloads_equal_one_by_one():
     groups = [(1, *naturals)] + [(m, *group) for _, level in _levels(12) for m, group in level.items()]
     for m, apery, mask in groups:
         generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
-        trace, trace_mask, *rest = trace_columns(m, apery.tolist(), np.where(mask, apery, m))
-        columns = trace, _sorted_rows(trace, trace_mask), *rest
+        columns = trace_columns(m, apery, np.where(mask, apery, m))
         payloads = _payloads(m, apery, generators, columns, slack=True)
         batch = [new_semigroup(g) for g in generators]
         assert payloads == [info_payload(s, slack=True) for s in batch]

@@ -19,7 +19,6 @@ import nsg.scan as scan_mod
 import nsg.semigroup as semigroup_mod
 from nsg.cli import main
 from nsg.constructions import glue, lift
-from nsg.enumeration import by_genus
 from nsg.scan import (
     ScanSummary,
     build_record,
@@ -34,7 +33,7 @@ from nsg.scan import (
 )
 from nsg.semigroup import new_semigroup
 
-from oracles import brute_pf, dp_membership, gap_sets_by_genus, window
+from oracles import brute_pf, dp_membership, gap_sets_by_genus, tree_by_genus, window
 from strategies import semigroups
 
 
@@ -359,7 +358,7 @@ class TestHunt:
         expected = sorted(
             (
                 build_record(s.generators, {"kind": "hunt", "genus": genus}, 0, info_payload(s, slack=True))
-                for genus, level in by_genus(10)
+                for genus, level in tree_by_genus(10)
                 for s in level
             ),
             key=lambda r: r["id"],

@@ -13,8 +13,8 @@ One line per genus:
 
 With ``--tree`` the same child then walks the genus tree alone to that
 genus, through ``enumeration._levels`` (the Apery-matrix levels the hunt
-reads; a checkout without it has its ``by_genus`` walked instead), and the
-line ends with that wall time and its share of the hunt's:
+reads; an older checkout without it has its ``by_genus`` walked instead),
+and the line ends with that wall time and its share of the hunt's:
 
     genus 20: 93141 records, wall 4.90 s, cpu 4.85 s, peak RSS 80.1 MiB, tree 0.09 s (1.8% of hunt)
 
@@ -52,7 +52,7 @@ with tempfile.TemporaryDirectory() as tmp:
 row = {"genus": genus, "records": records, "wall_s": wall, "cpu_s": cpu, "peak_rss_mib": peak}
 if tree:
     start = time.perf_counter()
-    for _ in getattr(enumeration, "_levels", enumeration.by_genus)(genus):
+    for _ in (getattr(enumeration, "_levels", None) or enumeration.by_genus)(genus):
         pass
     row["tree_s"] = time.perf_counter() - start
 print(json.dumps(row))
