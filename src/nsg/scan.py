@@ -14,7 +14,6 @@ import contextlib
 import hashlib
 import heapq
 import itertools
-import json
 import math
 import os
 import random
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .constructions import (
     GluingSpec,
@@ -62,8 +62,26 @@ __all__ = [
 ]
 
 
-# json.dumps with non-default arguments builds a new encoder per call
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def canonical_json(obj) -> str:
+    """``obj`` as compact JSON with sorted keys, the one encoding of every
+    record and every ``--json`` line.
+
+    The text is byte-identical to ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))`` whenever every dict key is a ``str``, every
+    string holds only code points below 0x7f (ASCII without DEL) and every
+    int lies in [-2**63, 2**64) (``_fits_json``).  Every nsg record meets
+    this: its keys and strings are ASCII names and hex ids, a semigroup
+    value is at most about twice ``SIZE_LIMIT``, a toric exponent is below
+    2**31, and ``scan_family`` and ``_timestamp`` refuse a seed or a
+    SOURCE_DATE_EPOCH outside the range.  An int outside it, or a key that
+    is not a ``str``, raises ``TypeError``.
+    """
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS).decode()
+
+
+def _fits_json(value: int) -> bool:
+    """Whether ``canonical_json`` encodes the integer ``value``."""
+    return -(2**63) <= value < 2**64
 
 
 def record_id(generators: Sequence[int]) -> str:
@@ -73,7 +91,14 @@ def record_id(generators: Sequence[int]) -> str:
 
 
 def _timestamp() -> int:
-    return int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
+    raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or not _fits_json(value):
+        raise InvalidSetting(f"SOURCE_DATE_EPOCH must be an integer in [-2**63, 2**64), got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -318,6 +343,8 @@ def scan_family(
     """
     if limit is not None and limit < 0:
         raise ValueError(f"scan limit must be >= 0, got {limit}")
+    if not _fits_json(seed):
+        raise ValueError(f"seed must lie in [-2**63, 2**64), got {seed}")
     rng = random.Random(seed)
     count = DEFAULT_LIMIT if limit is None else limit
     if family == "random":

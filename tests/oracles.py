@@ -10,6 +10,7 @@ generating set with ``new_semigroup``, not through the Apery-matrix tree.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from typing import Iterator, Sequence
 
@@ -301,3 +302,8 @@ def monomial_support(m: Sequence[int]) -> frozenset[int]:
 def monomial_rewrite(m: Sequence[int], lead: Sequence[int], tail: Sequence[int]) -> tuple[int, ...]:
     """x^m with its divisor x^lead replaced by x^tail."""
     return tuple(x - a + t for x, a, t in zip(m, lead, tail))
+
+
+def stdlib_json(value) -> str:
+    """The standard library's compact, key-sorted JSON text of ``value``."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))

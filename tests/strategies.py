@@ -15,3 +15,20 @@ def semigroups(draw, max_multiplicity=12, max_extra=4):
     if math.gcd(*gens) != 1:
         gens.append(m + 1)  # coprime to m, so the set always has gcd 1
     return new_semigroup(gens)
+
+
+# both ends of the 64-bit integer range a JSON record may use, and their neighbours
+INT_EDGES = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1)
+
+
+def json_values():
+    """JSON-ready values: None, bools, ints in [-2**63, 2**64), strings of
+    code points below 0x7f, and lists, tuples and str-keyed dicts of them."""
+    ints = st.integers(-(2**63), 2**64 - 1) | st.sampled_from(INT_EDGES)
+    text = st.text(st.characters(max_codepoint=0x7E), max_size=6)
+    leaves = st.none() | st.booleans() | ints | text
+
+    def nested(inner):
+        return st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(text, inner, max_size=4)
+
+    return st.recursive(leaves, nested, max_leaves=24)

@@ -19,6 +19,7 @@ import nsg.scan as scan_mod
 import nsg.semigroup as semigroup_mod
 from nsg.cli import main
 from nsg.constructions import glue, lift
+from nsg.errors import InvalidSetting
 from nsg.scan import (
     ScanSummary,
     build_record,
@@ -290,6 +291,29 @@ class TestScanFamilies:
         with pytest.raises(ValueError):
             scan_family(family, seed=0, limit=-1, max_multiplicity=5, out=str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**64])
+    def test_seed_outside_64_bits_refused(self, tmp_path, seed):
+        out = tmp_path / "scan.jsonl"
+        with pytest.raises(ValueError, match=r"seed must lie in \[-2\*\*63, 2\*\*64\)"):
+            scan_family("random", seed=seed, limit=1, max_multiplicity=5, out=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-(2**63), 2**64 - 1])
+    def test_seed_at_the_64_bit_edges_is_written(self, tmp_path, seed):
+        records, _ = scan_records(tmp_path, "random", seed=seed, limit=2, max_multiplicity=5)
+        assert [r["seed"] for r in records] == [seed, seed]
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "", str(-(2**63) - 1), str(2**64)])
+    def test_bad_source_date_epoch_refused(self, monkeypatch, value):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        with pytest.raises(InvalidSetting, match=f"SOURCE_DATE_EPOCH must be an integer .* got {value!r}"):
+            build_record((1,), {"kind": "random"}, 0, {})
+
+    @pytest.mark.parametrize("value", [-(2**63), 2**64 - 1])
+    def test_source_date_epoch_at_the_64_bit_edges(self, monkeypatch, value):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", str(value))
+        assert build_record((1,), {"kind": "random"}, 0, {})["timestamp"] == value
 
     def test_records_are_not_held(self, tmp_path, monkeypatch):
         # four runs' worth of records: holding every record until the end
@@ -712,6 +736,34 @@ class TestCli:
         result = runner.invoke(main, ["scan", "random", "--limit", "2", "--out", str(out)])
         assert result.exit_code == 2
         assert f"NSG_THREADS must be a positive integer, got {value!r}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, env, message",
+        [
+            (
+                ["scan", "random", "--seed", str(2**64), "--limit", "1"],
+                {},
+                f"seed must lie in [-2**63, 2**64), got {2**64}",
+            ),
+            (
+                ["hunt", "--max-genus", "3"],
+                {"SOURCE_DATE_EPOCH": "99999999999999999999"},
+                "SOURCE_DATE_EPOCH must be an integer in [-2**63, 2**64), got '99999999999999999999'",
+            ),
+        ],
+        ids=["seed", "timestamp"],
+    )
+    def test_value_outside_64_bits_exits_2(self, tmp_path, args, env, message):
+        # a fresh process, so a traceback would show on its stderr
+        out = tmp_path / "out.jsonl"
+        env = {**os.environ, "PYTHONPATH": str(Path(scan_mod.__file__).parents[1]), **env}
+        argv = [sys.executable, "-m", "nsg.cli", *args, "--out", str(out)]
+        result = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == f"Error: {message}"
+        assert "Traceback" not in result.stderr
         assert not out.exists()
 
 
