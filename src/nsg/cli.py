@@ -29,8 +29,6 @@ def _parse_generators(text: str) -> NumericalSemigroup:
         gens = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise click.UsageError(f"could not parse generators from {text!r}")
-    if not gens:
-        raise click.UsageError("empty generator list")
     return new_semigroup(gens)
 
 

@@ -17,9 +17,7 @@ from .errors import (
     LambdaNotMember,
     MuIsGenerator,
     MuNotMember,
-    NonMinimalGluing,
     NonMinimalSequence,
-    ScaledSetsIntersect,
 )
 from .ideals import RelativeIdeal, TraceReport, generated_ideal, minimal_generators, trace_and_residue
 from .semigroup import NumericalSemigroup, new_semigroup
@@ -107,20 +105,23 @@ def _validate(spec: GluingSpec) -> None:
         raise MuIsGenerator(f"{spec.mu} is a generator of {spec.right}")
     if not spec.right.contains(spec.mu):
         raise MuNotMember(f"{spec.mu} is not a member of {spec.right}")
-    scaled_left = {spec.mu * g for g in spec.left.generators}
-    scaled_right = {spec.lam * g for g in spec.right.generators}
-    if scaled_left & scaled_right:
-        raise ScaledSetsIntersect(f"scaled generator sets share {sorted(scaled_left & scaled_right)}")
 
 
 def glue(spec: GluingSpec) -> NumericalSemigroup:
-    """Build the gluing; the scaled union must come out minimal."""
+    """The semigroup generated by mu * A and lam * B, A and B the minimal
+    generators of the left and right factors.
+
+    The union is always minimal and the two scaled sets disjoint.  Suppose
+    mu * a, a in A, lay in the semigroup generated by the other generators:
+    mu * (a - X) = lam * Y with X in <A - {a}> and Y in the right factor.
+    As gcd(lam, mu) = 1, a = X + t * lam for some t >= 0.  If t = 0, a is
+    written from A - {a}; if t >= 1 and X > 0, a is a sum of two nonzero
+    members of the left factor; if X = 0, a = t * lam is lam itself, which
+    is not a generator, or a sum of copies of lam.  The same argument covers
+    lam * b, and mu * a = lam * b is the case X = 0.
+    """
     _validate(spec)
-    scaled = sorted({spec.mu * g for g in spec.left.generators} | {spec.lam * g for g in spec.right.generators})
-    built = new_semigroup(scaled)
-    if built.was_reduced:
-        raise NonMinimalGluing(f"scaled union {scaled} reduced to {list(built.generators)}")
-    return built
+    return new_semigroup([spec.mu * a for a in spec.left.generators] + [spec.lam * b for b in spec.right.generators])
 
 
 def _glued_invariants(spec: GluingSpec, built: NumericalSemigroup) -> PredictedInvariants:

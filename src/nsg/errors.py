@@ -49,14 +49,6 @@ class MuNotMember(GluingError):
     pass
 
 
-class ScaledSetsIntersect(GluingError):
-    pass
-
-
-class NonMinimalGluing(GluingError):
-    """The scaled union is not a minimal generating set of the glued semigroup."""
-
-
 class NonMinimalSequence(NsgError):
     """The requested arithmetic sequence is not a minimal generating set."""
 

@@ -72,9 +72,9 @@ def canonical_json(obj) -> str:
     int lies in [-2**63, 2**64) (``_fits_json``).  Every nsg record meets
     this: its keys and strings are ASCII names and hex ids, a semigroup
     value is at most about twice ``SIZE_LIMIT``, a toric exponent is below
-    2**31, and ``scan_family`` and ``_timestamp`` refuse a seed or a
-    SOURCE_DATE_EPOCH outside the range.  An int outside it, or a key that
-    is not a ``str``, raises ``TypeError``.
+    2**31, and ``_stamp`` refuses a seed or a SOURCE_DATE_EPOCH outside
+    the range.  An int outside it, or a key that is not a ``str``, raises
+    ``TypeError``.
     """
     return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS).decode()
 
@@ -90,15 +90,27 @@ def record_id(generators: Sequence[int]) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
-def _timestamp() -> int:
-    raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
+def _setting(name: str, default: int, accepts: Callable[[int], bool], expected: str) -> int:
+    """The integer environment setting ``name``, ``default`` when unset;
+    a value that is no integer or that ``accepts`` refuses raises
+    ``InvalidSetting``, saying it must be ``expected``."""
+    raw = os.environ.get(name, str(default))
     try:
         value = int(raw)
     except ValueError:
         value = None
-    if value is None or not _fits_json(value):
-        raise InvalidSetting(f"SOURCE_DATE_EPOCH must be an integer in [-2**63, 2**64), got {raw!r}")
+    if value is None or not accepts(value):
+        raise InvalidSetting(f"{name} must be {expected}, got {raw!r}")
     return value
+
+
+def _stamp(seed: int) -> dict:
+    """The seed and timestamp (SOURCE_DATE_EPOCH, default 0) of every record
+    of one run, both checked once, before anything is drawn or written."""
+    if not _fits_json(seed):
+        raise ValueError(f"seed must lie in [-2**63, 2**64), got {seed}")
+    timestamp = _setting("SOURCE_DATE_EPOCH", 0, _fits_json, "an integer in [-2**63, 2**64)")
+    return {"seed": seed, "timestamp": timestamp}
 
 
 @dataclass(frozen=True)
@@ -182,18 +194,17 @@ def _verification_payload(outcome: VerificationOutcome) -> dict:
 
 
 def build_record(
-    generators: Sequence[int], provenance: dict, seed: int, invariants: dict, verification: dict | None = None
+    generators: Sequence[int], provenance: dict, stamp: dict, invariants: dict, verification: dict | None = None
 ) -> dict:
     """JSON-ready scan record of the semigroup with these sorted minimal
-    generators; the ``verification`` key is present only when a
-    verification is given."""
+    generators, carrying the run's ``_stamp``; the ``verification`` key is
+    present only when a verification is given."""
     record = {
         "id": record_id(generators),
         "generators": list(generators),
         "provenance": provenance,
         "invariants_json": invariants,
-        "timestamp": _timestamp(),
-        "seed": seed,
+        **stamp,
     }
     if verification is not None:
         record["verification"] = verification
@@ -201,15 +212,15 @@ def build_record(
 
 
 def _construction_record(
-    built: NumericalSemigroup, provenance: dict, seed: int, predicted: PredictedInvariants | None
+    built: NumericalSemigroup, provenance: dict, stamp: dict, predicted: PredictedInvariants | None
 ) -> dict:
     """JSON record of a gluing or lifting, verified against ``predicted``
     when one is given; the trace computed to verify it is the record's too."""
     if predicted is None:
-        return build_record(built.generators, provenance, seed, info_payload(built))
+        return build_record(built.generators, provenance, stamp, info_payload(built))
     outcome = verify_construction(predicted, built)
     invariants = info_payload(built, report=outcome.computed)
-    return build_record(built.generators, provenance, seed, invariants, _verification_payload(outcome))
+    return build_record(built.generators, provenance, stamp, invariants, _verification_payload(outcome))
 
 
 def random_semigroup(rng: random.Random, max_multiplicity: int) -> NumericalSemigroup:
@@ -259,17 +270,6 @@ def random_lift(rng: random.Random, max_multiplicity: int, max_k: int = 7) -> tu
             return s, k
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("NSG_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise InvalidSetting(f"NSG_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 _CHUNK = 64  # at most this many items to one pool task
 _AHEAD = 2  # pool tasks in flight per worker
 
@@ -281,7 +281,7 @@ def _pmap(fn: Callable, items: Iterable, count: int) -> Iterator:
     most one per CPU (and per item) whatever ``NSG_THREADS`` asks for; it
     draws items only to submit a chunk, and keeps at most ``_AHEAD`` chunks
     per worker in flight, so neither items nor finished records pile up."""
-    workers = min(_worker_count(), os.cpu_count() or 1, count)
+    workers = min(_setting("NSG_THREADS", 1, lambda n: n >= 1, "a positive integer"), os.cpu_count() or 1, count)
     if workers <= 1:
         yield from map(fn, items)
         return
@@ -304,28 +304,28 @@ def _map_chunk(fn: Callable, chunk: list) -> list:
 
 
 def _random_worker(args: tuple) -> dict:
-    s, seed = args
-    return build_record(s.generators, {"kind": "random"}, seed, info_payload(s))
+    s, stamp = args
+    return build_record(s.generators, {"kind": "random"}, stamp, info_payload(s))
 
 
 def _arithmetic_worker(args: tuple) -> dict:
-    n1, d, e, seed = args
+    n1, d, e, stamp = args
     s = arithmetic_semigroup(n1, d, e)
-    return build_record(s.generators, {"kind": "arithmetic", "n1": n1, "d": d, "e": e}, seed, info_payload(s, toric=True))
+    return build_record(s.generators, {"kind": "arithmetic", "n1": n1, "d": d, "e": e}, stamp, info_payload(s, toric=True))
 
 
 def _gluing_worker(args: tuple) -> dict:
-    spec, built, verify, seed = args
+    spec, built, verify, stamp = args
     parents = [record_id(spec.left.generators), record_id(spec.right.generators)]
     provenance = {"kind": "gluing", "parents": parents, "lambda": spec.lam, "mu": spec.mu}
-    return _construction_record(built, provenance, seed, _glued_invariants(spec, built) if verify else None)
+    return _construction_record(built, provenance, stamp, _glued_invariants(spec, built) if verify else None)
 
 
 def _lifting_worker(args: tuple) -> dict:
-    base, k, verify, seed = args
+    base, k, verify, stamp = args
     built = lift(base, k)
     provenance = {"kind": "lifting", "parent": record_id(base.generators), "k": k}
-    return _construction_record(built, provenance, seed, lifted_invariants(base, k) if verify else None)
+    return _construction_record(built, provenance, stamp, lifted_invariants(base, k) if verify else None)
 
 
 def scan_family(
@@ -343,12 +343,11 @@ def scan_family(
     """
     if limit is not None and limit < 0:
         raise ValueError(f"scan limit must be >= 0, got {limit}")
-    if not _fits_json(seed):
-        raise ValueError(f"seed must lie in [-2**63, 2**64), got {seed}")
+    stamp = _stamp(seed)
     rng = random.Random(seed)
     count = DEFAULT_LIMIT if limit is None else limit
     if family == "random":
-        draws = ((random_semigroup(rng, max_multiplicity), seed) for _ in range(count))
+        draws = ((random_semigroup(rng, max_multiplicity), stamp) for _ in range(count))
         records = _pmap(_random_worker, draws, count)
     elif family == "arithmetic":
         items = []
@@ -357,14 +356,14 @@ def scan_family(
                 if math.gcd(n1, d) != 1:
                     continue
                 for e in range(3, n1 + 1):
-                    items.append((n1, d, e, seed))
+                    items.append((n1, d, e, stamp))
         items = items[:limit]
         records = _pmap(_arithmetic_worker, items, len(items))
     elif family == "gluing":
-        draws = ((*_draw_gluing(rng, max_multiplicity), verify, seed) for _ in range(count))
+        draws = ((*_draw_gluing(rng, max_multiplicity), verify, stamp) for _ in range(count))
         records = _pmap(_gluing_worker, draws, count)
     elif family == "lifting":
-        draws = ((*random_lift(rng, max_multiplicity), verify, seed) for _ in range(count))
+        draws = ((*random_lift(rng, max_multiplicity), verify, stamp) for _ in range(count))
         records = _pmap(_lifting_worker, draws, count)
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -395,6 +394,7 @@ def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[
     """
     from .enumeration import _levels
 
+    stamp = _stamp(0)
     findings: list[dict] = []
     histogram: Counter = Counter()
 
@@ -405,7 +405,7 @@ def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[
                 columns = trace_columns(m, apery, np.where(mask, apery, m))
                 for g, inv in zip(generators, _payloads(m, apery, generators, columns, slack=True)):
                     histogram[inv["slack"]] += 1
-                    rec = build_record(g, {"kind": "hunt", "genus": genus}, 0, inv)
+                    rec = build_record(g, {"kind": "hunt", "genus": genus}, stamp, inv)
                     if not inv["question_holds"]:
                         findings.append(rec)
                     if out is not None:

@@ -1,8 +1,8 @@
 """The public surface: every exported name exists, ``nsg.__all__`` is the
 modules' own lists joined, every function the benchmark's spans wrap is
 still a function of its module, so a deletion that would break ``pytest
-bench`` fails here too, and no other module reaches into the private
-helpers of ``nsg.ideals``."""
+bench`` fails here too, no other module reaches into the private helpers of
+``nsg.ideals``, and one function reads the environment settings."""
 
 import ast
 import importlib
@@ -56,3 +56,23 @@ def test_no_module_imports_private_ideals_names():
             if isinstance(node, ast.ImportFrom) and node.module in ("ideals", "nsg.ideals"):
                 leaks += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
     assert leaks == []
+
+
+def test_one_function_reads_the_environment():
+    # every run setting goes through scan._setting; nsg/__init__.py reads
+    # the environment only to pin OpenBLAS for numpy's import
+    reads = set()
+    for path in sorted(Path(nsg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}  # node -> name of its innermost enclosing function
+        for fn in ast.walk(tree):  # breadth first, so inner functions come later
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                if node.attr in ("environ", "getenv"):
+                    reads.add((path.name, scope.get(node)))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                if {alias.name for alias in node.names} & {"environ", "getenv"}:
+                    reads.add((path.name, scope.get(node)))
+    assert reads == {("scan.py", "_setting"), ("__init__.py", None)}

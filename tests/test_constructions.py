@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsg.constructions import (
@@ -22,7 +22,6 @@ from nsg.errors import (
     MuIsGenerator,
     MuNotMember,
     NonMinimalSequence,
-    ScaledSetsIntersect,
 )
 from nsg.ideals import generated_ideal, trace_and_residue
 from nsg.scan import random_gluing_spec, random_lift
@@ -32,7 +31,38 @@ from oracles import dp_membership
 from strategies import semigroups
 
 
+def _non_generators(s, upto):
+    """The members of s in [2, upto] that are not minimal generators."""
+    return [x for x in range(2, upto + 1) if s.contains(x) and x not in s.generators]
+
+
+@st.composite
+def gluing_specs(draw):
+    """Two factors and coprime non-generator members lam of the left and mu
+    of the right: every spec ``glue`` accepts, up to the size of the draws."""
+    left, right = draw(semigroups(max_multiplicity=8)), draw(semigroups(max_multiplicity=8))
+    lam = draw(st.sampled_from(_non_generators(left, 3 * left.multiplicity)))
+    mus = [mu for mu in _non_generators(right, 3 * right.multiplicity) if math.gcd(lam, mu) == 1]
+    assume(mus)
+    return GluingSpec(left, right, lam, draw(st.sampled_from(mus)))
+
+
 class TestGlue:
+    @settings(max_examples=150, deadline=None)
+    @given(gluing_specs())
+    @example(GluingSpec(new_semigroup([3, 5, 7]), new_semigroup([2, 3]), lam=6, mu=5))  # lam = 2 * m1
+    @example(GluingSpec(new_semigroup([4, 5, 7]), new_semigroup([3, 4]), lam=8, mu=9))  # lam = 2 * m1, mu = 3 * m2
+    @example(GluingSpec(new_semigroup([2, 3]), new_semigroup([1]), lam=4, mu=3))
+    @example(GluingSpec(new_semigroup([1]), new_semigroup([2, 3]), lam=2, mu=5))
+    def test_scaled_union_is_minimal_and_disjoint(self, spec):
+        # what glue's docstring proves: with coprime non-generator scalars,
+        # mu * A and lam * B are disjoint and their union is minimal
+        scaled = [spec.mu * a for a in spec.left.generators] + [spec.lam * b for b in spec.right.generators]
+        built = glue(spec)
+        assert built.generators == tuple(sorted(scaled))
+        assert len(set(scaled)) == len(spec.left.generators) + len(spec.right.generators)
+        assert not built.was_reduced
+
     def test_double_23(self):
         spec = GluingSpec(new_semigroup([2, 3]), new_semigroup([2, 3]), lam=4, mu=5)
         assert glue(spec).generators == (8, 10, 12, 15)

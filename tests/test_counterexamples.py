@@ -74,10 +74,10 @@ def test_gluing_with_a_symmetric_factor_scales_the_violation(gens, frobenius, re
 
 
 def test_hunt_counts_violations_per_genus_on_stderr(monkeypatch):
-    findings = []
+    findings, stamp = [], {"seed": 0, "timestamp": 0}
     for gens, *_ in COUNTEREXAMPLES:
         s = new_semigroup(gens)
-        findings.append(build_record(s.generators, {"kind": "hunt", "genus": 17}, 0, info_payload(s, slack=True)))
+        findings.append(build_record(s.generators, {"kind": "hunt", "genus": 17}, stamp, info_payload(s, slack=True)))
     monkeypatch.setattr(cli_mod, "run_hunt", lambda max_genus, out: (len(findings), findings, {-1: 2}))
     result = CliRunner().invoke(cli_mod.main, ["hunt", "--max-genus", "17"])
     assert result.exit_code == 0

@@ -305,15 +305,30 @@ class TestScanFamilies:
         assert [r["seed"] for r in records] == [seed, seed]
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "", str(-(2**63) - 1), str(2**64)])
-    def test_bad_source_date_epoch_refused(self, monkeypatch, value):
+    def test_bad_source_date_epoch_refused(self, tmp_path, monkeypatch, value):
+        # read once per run, before anything is drawn: an empty scan is refused too
         monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
-        with pytest.raises(InvalidSetting, match=f"SOURCE_DATE_EPOCH must be an integer .* got {value!r}"):
-            build_record((1,), {"kind": "random"}, 0, {})
+        out = tmp_path / "out.jsonl"
+        for limit in (0, 1):
+            with pytest.raises(InvalidSetting, match=f"SOURCE_DATE_EPOCH must be an integer .* got {value!r}"):
+                scan_family("random", seed=0, limit=limit, max_multiplicity=5, out=str(out))
+        for target in (None, str(out)):
+            with pytest.raises(InvalidSetting, match=f"SOURCE_DATE_EPOCH must be an integer .* got {value!r}"):
+                hunt(3, target)
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [-(2**63), 2**64 - 1])
-    def test_source_date_epoch_at_the_64_bit_edges(self, monkeypatch, value):
+    def test_source_date_epoch_at_the_64_bit_edges(self, tmp_path, monkeypatch, value):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", str(value))
-        assert build_record((1,), {"kind": "random"}, 0, {})["timestamp"] == value
+        records, _ = scan_records(tmp_path, "random", seed=0, limit=2, max_multiplicity=5)
+        assert [r["timestamp"] for r in records] == [value, value]
+        assert {r["timestamp"] for r in hunt_records(tmp_path, 3)[0]} == {value}
+
+    def test_unknown_family_refused(self, tmp_path):
+        out = tmp_path / "scan.jsonl"
+        with pytest.raises(ValueError, match="unknown family 'spiral'"):
+            scan_family("spiral", seed=0, limit=1, max_multiplicity=5, out=str(out))
+        assert not out.exists()
 
     def test_records_are_not_held(self, tmp_path, monkeypatch):
         # four runs' worth of records: holding every record until the end
@@ -376,12 +391,14 @@ class TestHunt:
             assert inv["slack"] == inv["gap_bound"] - inv["residue"]
             assert inv["slack"] >= 0
 
-    def test_stream_matches_one_by_one_records(self, tmp_path):
+    def test_stream_matches_one_by_one_records(self, tmp_path, monkeypatch):
         # oracle: every record built from its own info_payload, sorted by id
         # and appended after what the file already held
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        stamp = {"seed": 0, "timestamp": 0}
         expected = sorted(
             (
-                build_record(s.generators, {"kind": "hunt", "genus": genus}, 0, info_payload(s, slack=True))
+                build_record(s.generators, {"kind": "hunt", "genus": genus}, stamp, info_payload(s, slack=True))
                 for genus, level in tree_by_genus(10)
                 for s in level
             ),
@@ -600,6 +617,37 @@ class TestCli:
         assert all(set(b) == {"plus", "minus", "homogeneous"} for b in elements)
         assert payload["gb"]["order"]["kind"] == "degrevlex"
 
+    @pytest.mark.parametrize(
+        "args, table, line",
+        [
+            (
+                ["glue", "3,5,7", "2,3", "--lambda", "10", "--mu", "7"],
+                "generators: 20, 21, 30, 35, 49\npredicted:\n  frobenius: 108\n  pf: 94, 108\n"
+                "  trace_min_gens: 21, 35, 49\n  residue: 7\n  gap_bound: 7\n",
+                '{"generators":[20,21,30,35,49],"predicted":{"frobenius":108,"gap_bound":7,"pf":[94,108],'
+                '"residue":7,"trace_min_gens":[21,35,49]}}\n',
+            ),
+            (
+                ["lift", "3,5,7", "-k", "2"],
+                "generators: 3, 10, 14\npredicted:\n  frobenius: 11\n  pf: 7, 11\n"
+                "  trace_min_gens: 6, 10, 14\n  residue: 2\n  gap_bound: 2\n",
+                '{"generators":[3,10,14],"predicted":{"frobenius":11,"gap_bound":2,"pf":[7,11],'
+                '"residue":2,"trace_min_gens":[6,10,14]}}\n',
+            ),
+        ],
+        ids=["glue", "lift"],
+    )
+    def test_construction_without_verify_prints_the_prediction(self, runner, args, table, line):
+        for argv, expected in ((args, table), (args + ["--json"], line)):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0
+            assert result.stdout == expected
+
+    def test_toric_table(self, runner):
+        result = runner.invoke(main, ["toric", "4,6,7"])
+        assert result.exit_code == 0
+        assert result.stdout == "acm: yes\nhypothesis: no\napplicable: no\naffine_ng: yes\nbasis elements: 3\n"
+
     def test_scan_writes_jsonl(self, runner, tmp_path):
         out = tmp_path / "scan.jsonl"
         result = runner.invoke(
@@ -767,16 +815,32 @@ class TestCli:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [["scan", "random", "--limit", "0", "--out", "{out}"], ["hunt", "--max-genus", "3"]],
+        ids=["empty-scan", "hunt-without-out"],
+    )
+    def test_bad_source_date_epoch_exits_2_before_any_record(self, runner, tmp_path, args):
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(main, [arg.format(out=out) for arg in args], env={"SOURCE_DATE_EPOCH": "abc"})
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: SOURCE_DATE_EPOCH must be an integer in [-2**63, 2**64), got 'abc'"]
+        assert result.output.splitlines()[-1] == errors[0]
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
         (["info", "0"], "generators must be positive integers, got [0]"),
+        (["info", ","], "need at least one generator"),
         (["glue", "3,5,7", "2,3", "--lambda", "-10", "--mu", "7"], "gluing scalars must be positive"),
         (["lift", "3,5,7", "-k", "0"], "lift factor must be >= 1, got 0"),
         (["toric", "3,5"], "the projective criterion needs >= 3 generators, got (3, 5)"),
         (["scan", "random", "--limit", "2"], "NSG_THREADS must be a positive integer, got '0'"),
     ],
-    ids=["info", "glue", "lift", "toric", "scan"],
+    ids=["info", "info-empty", "glue", "lift", "toric", "scan"],
 )
 def test_library_error_is_a_usage_error_of_its_subcommand(runner, tmp_path, args, message):
     out = tmp_path / "scan.jsonl"

@@ -66,6 +66,14 @@ class TestMonomialOrders:
         # t-free monomials compare by degrevlex on the tail block
         assert order.greater((0, 0, 2), (0, 1, 0))
 
+    def test_to_json_names_the_block_split(self):
+        assert elimination_order(["t", "x1"], block_split=1).to_json() == {
+            "kind": "elimination-block",
+            "variables": ["t", "x1"],
+            "block_split": 1,
+        }
+        assert degrevlex(["x1", "x2"]).to_json() == {"kind": "degrevlex", "variables": ["x1", "x2"]}
+
 
 class TestBuchberger:
     def test_three_generator_basis(self):
@@ -497,6 +505,11 @@ class TestPackedKernels:
     def test_pack_refuses_what_does_not_fit(self, bad):
         with pytest.raises(InputTooLarge):
             _Packing(2).pack(bad)
+
+    @pytest.mark.parametrize("wrong", [(1,), (1, 2, 3)])
+    def test_pack_refuses_the_wrong_number_of_exponents(self, wrong):
+        with pytest.raises(ValueError, match="does not have 2 exponents"):
+            _Packing(2).pack(wrong)
 
 
 class TestExponentLimit:
