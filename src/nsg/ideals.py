@@ -21,8 +21,8 @@ The head (the elements below the conductor), an O(F) list, is computed
 only when it is read.  ``trace_columns`` takes the Apery matrix of many
 semigroups of one multiplicity and runs each step of the trace on all its
 rows; ``trace_and_residue`` is its one-row call, wrapped into a
-``TraceReport``, and ``nsg hunt`` passes the columns of each genus level
-straight to its payloads.
+``TraceReport``, and ``nsg hunt`` passes the columns of each
+(genus, multiplicity) block of the genus tree straight to its payloads.
 """
 
 from __future__ import annotations

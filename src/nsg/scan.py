@@ -129,60 +129,53 @@ class ScanSummary:
         )
 
 
-def info_payload(
-    s: NumericalSemigroup, toric: bool = False, slack: bool = False, report: TraceReport | None = None
-) -> dict:
+def info_payload(s: NumericalSemigroup, toric: bool = False, report: TraceReport | None = None) -> dict:
     """All invariants of one semigroup, JSON-ready (integers only); pass
     ``report`` when the trace of ``s`` is already computed.  The one-row
     case of ``_payloads``, plus the closure verdict when ``toric``."""
     r = report or trace_and_residue(s)
     columns = np.array([r.trace.mins]), [list(r.trace_min_gens)], [list(r.pf)], [r.residue], [r.genus]
-    payload = _payloads(s.multiplicity, _row(s.apery), [s.generators], columns, slack)[0]
+    payload = next(_payloads(s.multiplicity, _row(s.apery), [s.generators], columns))
+    del payload["slack"]  # only hunt records carry it
     if toric:
         payload["closure"] = acm_and_hypothesis(s).verdict(payload["nearly_gorenstein"]).to_json()
     return payload
 
 
-def _payloads(m: int, apery: np.ndarray, generators: list[tuple[int, ...]], columns: tuple, slack: bool) -> list[dict]:
-    """The ``info_payload`` of each semigroup of multiplicity m, from its
-    Apery row, its minimal generators and its row of ``columns``: the trace
-    class-minimum matrix, and per row the sorted trace minimal generators,
-    the pseudo-Frobenius numbers, the residue and the genus.  The verdicts
-    come from ``classification``.  Three ``_members`` calls list the gaps
-    (from c up to Ap[c]), the trace heads (from the trace minimum up to the
+def _payloads(m: int, apery: np.ndarray, generators: list[tuple[int, ...]], columns: tuple) -> Iterator[dict]:
+    """Yield, one at a time, the hunt payload (``info_payload`` plus the
+    slack) of each semigroup of multiplicity m, from its Apery row, its
+    minimal generators and its row of ``columns``: the trace class-minimum
+    matrix, and per row the sorted trace minimal generators, the
+    pseudo-Frobenius numbers, the residue and the genus.  The verdicts come
+    from ``classification``.  Three ``_members`` calls list the gaps (from c
+    up to Ap[c]), the trace heads (from the trace minimum up to the
     conductor) and the missing members (from Ap[c] up to the trace minimum)
     of all the rows."""
     trace, trace_gens, pfs, residues, genera = columns
     conductors = trace.max(axis=1, keepdims=True) - m + 1
     # Ap[c] is congruent to c, so apery % m holds each entry's class
     lists = _members(apery % m, apery), _members(trace, conductors), _members(apery, trace)
-    out = []
     for gens, conductor, tg, pf, residue, genus, gaps, head, missing in zip(
         generators, conductors[:, 0].tolist(), trace_gens, pfs, residues, genera, *lists
     ):
         f = pf[-1]  # the largest pseudo-Frobenius number, -1 for the naturals
-        verdicts = classification(residue, genus, f)
-        if not slack:
-            del verdicts["slack"]
         pf = [] if m == 1 else pf  # the naturals' pf (-1,) is not listed
-        out.append(
-            {
-                "multiplicity": m,
-                "embedding_dimension": len(gens),
-                "frobenius": f,
-                "gaps": gaps,
-                "genus": genus,
-                "non_gap_count": f + 1 - genus,
-                "pf": pf,
-                "type": len(pf),
-                "trace": {"head": head, "conductor": conductor},
-                "trace_min_gens": tg,
-                "residue": residue,
-                "missing": missing,
-                **verdicts,
-            }
-        )
-    return out
+        yield {
+            "multiplicity": m,
+            "embedding_dimension": len(gens),
+            "frobenius": f,
+            "gaps": gaps,
+            "genus": genus,
+            "non_gap_count": f + 1 - genus,
+            "pf": pf,
+            "type": len(pf),
+            "trace": {"head": head, "conductor": conductor},
+            "trace_min_gens": tg,
+            "residue": residue,
+            "missing": missing,
+            **classification(residue, genus, f),
+        }
 
 
 def _verification_payload(outcome: VerificationOutcome) -> dict:
@@ -383,39 +376,40 @@ def scan_family(
 def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[int, int]]:
     """Enumerate the genus tree and look for residues above the gap bound.
 
-    The tree draws nothing at random, so every record's seed is 0.  Each
-    genus level comes as one Apery matrix and minimal-generator mask per
-    multiplicity, which goes through one ``trace_columns`` call and one
-    ``_payloads`` call; no semigroup or trace object is built.  Only
-    violating records are kept.  With ``out``, each record is encoded as
-    soon as it is built and goes to ``write_jsonl``, which appends them to
-    ``out`` in record order; without it, no record is encoded.  Returns
-    (records checked, violating records in record order, slack histogram).
+    The tree draws nothing at random, so every record's seed is 0.  The
+    tree comes from ``enumeration._walk`` one (genus, multiplicity) block at
+    a time, an Apery matrix and a minimal-generator mask, which goes
+    through one ``trace_columns`` call; ``_payloads`` then yields the
+    block's payloads one at a time, and no semigroup or trace object is
+    built.  The records form one stream, of which only the violating
+    records are kept.  With ``out``, each record is encoded as soon as it
+    is built and goes to ``write_jsonl``, which appends them to ``out`` in
+    record order; without it, the stream is drained and no record is
+    encoded.  Returns (records checked, violating records in record order,
+    slack histogram).
     """
-    from .enumeration import _levels
+    from .enumeration import _walk
 
     stamp = _stamp(0)
     findings: list[dict] = []
     histogram: Counter = Counter()
 
-    def keyed() -> Iterator[str]:
-        for genus, level in _levels(max_genus):
-            for m, (apery, mask) in level.items():
-                generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
-                columns = trace_columns(m, apery, np.where(mask, apery, m))
-                for g, inv in zip(generators, _payloads(m, apery, generators, columns, slack=True)):
-                    histogram[inv["slack"]] += 1
-                    rec = build_record(g, {"kind": "hunt", "genus": genus}, stamp, inv)
-                    if not inv["question_holds"]:
-                        findings.append(rec)
-                    if out is not None:
-                        yield _keyed(rec)
+    def records() -> Iterator[dict]:
+        for genus, apery, mask in _walk(max_genus):
+            m = apery.shape[1]
+            generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
+            columns = trace_columns(m, apery, np.where(mask, apery, m))
+            for g, inv in zip(generators, _payloads(m, apery, generators, columns)):
+                histogram[inv["slack"]] += 1
+                rec = build_record(g, {"kind": "hunt", "genus": genus}, stamp, inv)
+                if not inv["question_holds"]:
+                    findings.append(rec)
+                yield rec
 
     if out is None:
-        for _ in keyed():  # yields nothing: builds the findings and the histogram
-            pass
+        deque(records(), maxlen=0)  # drained for the findings and the histogram
     else:
-        write_jsonl(out, keyed())
+        write_jsonl(out, map(_keyed, records()))
     findings.sort(key=_keyed)
     return sum(histogram.values()), findings, dict(sorted(histogram.items()))  # one slack per record
 

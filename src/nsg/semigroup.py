@@ -31,8 +31,9 @@ SIZE_LIMIT = 10**7
 # Largest temporary, in array elements, of one ``_fold`` step, here and in
 # the ideal layer: the (generators x rows x m) gather is cut by rows, and a
 # row whose own gather is larger by generators, _BLOCK // m at a time, so
-# neither a stacked genus level nor a maximal-embedding-dimension semigroup
-# (about m generators) needs an unblocked temporary.
+# neither a (genus, multiplicity) block of the genus tree nor a
+# maximal-embedding-dimension semigroup (about m generators) needs an
+# unblocked temporary.
 _BLOCK = 1 << 20
 
 __all__ = [

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import nsg.cli as cli_mod
 from nsg.constructions import GluingSpec, glue, glued_invariants, lift, lifted_invariants, verify_construction
+from nsg.ideals import trace_and_residue
 from nsg.scan import build_record, canonical_json, info_payload
 from nsg.semigroup import new_semigroup
 
@@ -35,7 +36,8 @@ def test_counterexample_fields_match_oracles(gens, frobenius, residue, bound, la
     trace = brute_trace(gens, w, f)
     missing = [x for x in range(2 * w + 1) if table[x] and x not in trace]
 
-    payload = info_payload(new_semigroup(gens), slack=True)
+    s = new_semigroup(gens)
+    payload = {**info_payload(s), "slack": trace_and_residue(s).slack}  # the hunt payload
     assert (f, len(gaps) - non_gaps, len(missing)) == (frobenius, bound, residue)
     assert payload["frobenius"] == f and payload["gaps"] == gaps
     assert payload["genus"] == len(gaps) == 17
@@ -77,7 +79,8 @@ def test_hunt_counts_violations_per_genus_on_stderr(monkeypatch):
     findings, stamp = [], {"seed": 0, "timestamp": 0}
     for gens, *_ in COUNTEREXAMPLES:
         s = new_semigroup(gens)
-        findings.append(build_record(s.generators, {"kind": "hunt", "genus": 17}, stamp, info_payload(s, slack=True)))
+        payload = {**info_payload(s), "slack": trace_and_residue(s).slack}
+        findings.append(build_record(s.generators, {"kind": "hunt", "genus": 17}, stamp, payload))
     monkeypatch.setattr(cli_mod, "run_hunt", lambda max_genus, out: (len(findings), findings, {-1: 2}))
     result = CliRunner().invoke(cli_mod.main, ["hunt", "--max-genus", "17"])
     assert result.exit_code == 0

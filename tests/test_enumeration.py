@@ -3,10 +3,13 @@ generator route of ``oracles.deletion_generators`` and
 ``oracles.tree_by_genus``, where each child is built from a generating set
 by ``new_semigroup``, and against A007323."""
 
+import tracemalloc
+from collections import Counter, defaultdict
+
 from hypothesis import example, given, settings
 
 import nsg.enumeration
-from nsg.enumeration import _levels, children
+from nsg.enumeration import _walk, children
 from nsg.semigroup import _sorted_rows, new_semigroup
 
 from oracles import deletion_generators, tree_by_genus
@@ -27,28 +30,72 @@ def oracle_children(s):
     return [new_semigroup(gens) for gens in deletion_generators(s.generators, s.frobenius)]
 
 
-def listed(level):
-    # each row of a level as (m, Apery tuple, minimal generators, F)
-    return [
-        (m, tuple(row), (m, *gens), max(row) - m)
-        for m, (apery, mask) in level.items()
-        for row, gens in zip(apery.tolist(), _sorted_rows(apery, mask))
-    ]
+def walked_by_genus(max_genus):
+    # each row of the walk as (m, Apery tuple, minimal generators, F), by genus
+    rows = defaultdict(list)
+    for genus, apery, mask in _walk(max_genus):
+        m = apery.shape[1]
+        for row, gens in zip(apery.tolist(), _sorted_rows(apery, mask)):
+            rows[genus].append((m, tuple(row), (m, *gens), max(row) - m))
+    return rows
 
 
 def test_tree_matches_generator_route_to_genus_18():
-    for (genus, level), (_, rows) in zip(tree_by_genus(18), _levels(18)):
+    walked = walked_by_genus(18)
+    assert sorted(walked) == list(range(1, 19))
+    for genus, level in tree_by_genus(18):
         expected = sorted(map(stored, level))
-        assert sorted(listed(rows)) == expected, genus
+        assert sorted(walked[genus]) == expected, genus
         # each row's listed generators are minimal: new_semigroup reduces none
-        semigroups = [new_semigroup(gens) for _, _, gens, _ in listed(rows)]
+        semigroups = [new_semigroup(gens) for _, _, gens, _ in walked[genus]]
         assert sorted(map(stored, semigroups)) == expected, genus
         assert not any(s.was_reduced for s in semigroups)
 
 
 def test_level_counts_match_a007323_through_genus_22():
-    counts = [sum(len(apery) for apery, _ in level.values()) for _, level in _levels(22)]
-    assert counts == list(A007323[1:23])
+    counts = Counter()
+    for genus, apery, _ in _walk(22):
+        counts[genus] += len(apery)
+    assert [counts[genus] for genus in sorted(counts)] == list(A007323[1:23])
+
+
+def test_walk_yields_one_block_per_genus_and_multiplicity():
+    # the ordinary semigroup of multiplicity m has genus m - 1, so genus g
+    # holds the multiplicities 2..g + 1, each in one non-empty block
+    n = 16
+    blocks = [(genus, apery.shape[1], len(apery)) for genus, apery, _ in _walk(n)]
+    assert len(blocks) == n * (n + 1) // 2
+    assert sorted((genus, m) for genus, m, _ in blocks) == [(g, m) for g in range(1, n + 1) for m in range(2, g + 2)]
+    assert all(rows > 0 for _, _, rows in blocks)
+
+
+def test_every_row_of_a_block_has_its_multiplicity():
+    # m is the least nonzero member iff Ap[c] > m for every class c != 0
+    for _, apery, mask in _walk(16):
+        m = apery.shape[1]
+        assert (apery[:, 0] == 0).all() and (apery[:, 1:] > m).all()
+        assert not mask[:, 0].any()
+
+
+def test_block_counts_match_tree_by_multiplicity():
+    counts = Counter()
+    for genus, apery, _ in _walk(14):
+        counts[genus, apery.shape[1]] += len(apery)
+    expected = Counter((genus, s.multiplicity) for genus, level in tree_by_genus(14) for s in level)
+    assert counts == expected
+
+
+def test_walk_holds_one_block_at_a_time():
+    # the largest block to genus 22 holds 14,122 of its level's 103,246
+    # rows; a walk that held whole levels peaked at 36.7 MiB
+    tracemalloc.start()
+    try:
+        for _ in _walk(22):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20
 
 
 @settings(max_examples=60, deadline=None)

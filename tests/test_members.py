@@ -1,5 +1,5 @@
 """The class-bounded list kernel ``semigroup._members`` against the
-brute-force oracles, and the per-group payload builder ``scan._payloads``
+brute-force oracles, and the per-block payload builder ``scan._payloads``
 against one-by-one ``info_payload``.
 
 ``_members(lo, hi)`` lists, for each row, the v with lo[c] <= v < hi[c],
@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsg.enumeration import _levels
+from nsg.enumeration import _walk
 from nsg.ideals import RelativeIdeal, dual_ideal, trace_and_residue, trace_columns
 from nsg.scan import _payloads, info_payload
 from nsg.semigroup import _members, _sorted_rows, gap_profile, new_semigroup
@@ -122,17 +122,17 @@ def test_dual_heads_match_oracles(case):
 
 
 def test_level_payloads_equal_one_by_one():
-    # every multiplicity group of every level to genus 12, and <1>
+    # every block of the walk to genus 12, and <1>
     naturals = np.zeros((1, 1), np.int64), np.zeros((1, 1), bool)
-    groups = [(1, *naturals)] + [(m, *group) for _, level in _levels(12) for m, group in level.items()]
-    for m, apery, mask in groups:
+    for apery, mask in [naturals, *((apery, mask) for _, apery, mask in _walk(12))]:
+        m = apery.shape[1]
         generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
         columns = trace_columns(m, apery, np.where(mask, apery, m))
-        payloads = _payloads(m, apery, generators, columns, slack=True)
+        payloads = list(_payloads(m, apery, generators, columns))
         batch = [new_semigroup(g) for g in generators]
-        assert payloads == [info_payload(s, slack=True) for s in batch]
-        for s, payload in zip(batch, payloads):
-            report = trace_and_residue(s)
+        reports = [trace_and_residue(s) for s in batch]
+        assert payloads == [{**info_payload(s), "slack": report.slack} for s, report in zip(batch, reports)]
+        for s, report, payload in zip(batch, reports, payloads):
             assert payload["gaps"] == list(gap_profile(s).gaps)
             assert payload["trace"]["head"] == list(report.trace.head)
             assert payload["missing"] == list(report.missing)

@@ -20,6 +20,7 @@ import nsg.semigroup as semigroup_mod
 from nsg.cli import main
 from nsg.constructions import glue, lift
 from nsg.errors import InvalidSetting
+from nsg.ideals import trace_and_residue
 from nsg.scan import (
     ScanSummary,
     build_record,
@@ -398,7 +399,12 @@ class TestHunt:
         stamp = {"seed": 0, "timestamp": 0}
         expected = sorted(
             (
-                build_record(s.generators, {"kind": "hunt", "genus": genus}, stamp, info_payload(s, slack=True))
+                build_record(
+                    s.generators,
+                    {"kind": "hunt", "genus": genus},
+                    stamp,
+                    {**info_payload(s), "slack": trace_and_residue(s).slack},
+                )
                 for genus, level in tree_by_genus(10)
                 for s in level
             ),

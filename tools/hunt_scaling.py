@@ -12,9 +12,10 @@ One line per genus:
     genus 18: 33281 records, wall 4.95 s, cpu 4.90 s, peak RSS 114.7 MiB
 
 With ``--tree`` the same child then walks the genus tree alone to that
-genus, through ``enumeration._levels`` (the Apery-matrix levels the hunt
-reads; an older checkout without it has its ``by_genus`` walked instead),
-and the line ends with that wall time and its share of the hunt's:
+genus, through ``enumeration._walk`` (the (genus, multiplicity) blocks of
+Apery matrices the hunt reads; an older checkout without it has its
+``_levels``, or else its ``by_genus``, walked instead), and the line ends
+with that wall time and its share of the hunt's:
 
     genus 20: 93141 records, wall 4.90 s, cpu 4.85 s, peak RSS 80.1 MiB, tree 0.09 s (1.8% of hunt)
 
@@ -52,7 +53,8 @@ with tempfile.TemporaryDirectory() as tmp:
 row = {"genus": genus, "records": records, "wall_s": wall, "cpu_s": cpu, "peak_rss_mib": peak}
 if tree:
     start = time.perf_counter()
-    for _ in (getattr(enumeration, "_levels", None) or enumeration.by_genus)(genus):
+    walk = getattr(enumeration, "_walk", None) or getattr(enumeration, "_levels", None) or enumeration.by_genus
+    for _ in walk(genus):
         pass
     row["tree_s"] = time.perf_counter() - start
 print(json.dumps(row))
