@@ -11,11 +11,12 @@ integer operations; an exponent that would not fit its field raises
 ``InputTooLarge`` instead of spilling into the next variable.  Binomials,
 bases and their JSON keep exponent tuples.  The reducer buckets its leads
 by their support mask and tests a monomial only against leads whose support
-lies inside its own.  The defining ideal of a semigroup is computed by
-eliminating the parameter variable from the graph ideal of the monomial
-map, which is homogeneous for the weights (1, n_1, ..., n_e): under that
-grading the pairs come in semigroup-degree order, rather than high t-degree
-first.
+lies inside its own.  The defining ideal of a semigroup is computed from
+its Apery set, over x_1..x_e alone with no parameter variable: the least
+factorizations of the Apery elements form a staircase of x_1-free
+monomials, one binomial per corner of it generates the ideal, and
+``buchberger`` takes those binomials and their S-pairs in order of their
+degree under the weights (n_1, ..., n_e).
 """
 
 from __future__ import annotations
@@ -260,7 +261,13 @@ def buchberger(
 
     Normal pair selection: smallest degree of the lcm under ``grading`` (one
     positive integer weight per variable; ``None`` means all ones, the
-    standard degree), ties by insertion index.  The reduced basis of an
+    standard degree), ties by insertion index.  Each input waits in the same
+    queue at the larger degree of its two sides, ahead of that degree's
+    pairs (equal-degree inputs by packed sides, so the input order never
+    matters); when it is taken both sides are reduced, and it is dropped if
+    they meet.  Every element, input or S-pair, thus enters with a lead no
+    earlier lead divides, and the leads of the elements still live at the
+    end are the minimal leads.  The reduced basis of an
     ideal under an order is unique, so every positive grading gives the
     same basis and only the order of work changes.  A grading for which
     the input is homogeneous makes the pairs come in degree order (the
@@ -294,7 +301,7 @@ def buchberger(
     tails: list[int] = []
     live: list[int] = []  # the elements that may still form new pairs
     pairs: dict[tuple[int, int], int] = {}  # the queued pairs: (i, j) -> packed lcm
-    heap: list[tuple[int, int, int]] = []
+    heap: list[tuple[int, ...]] = []  # (degree, i, j) for a pair, (degree, -1, a, b) for an input
     reducer = _Reducer(packing)
 
     def push(lead: int, tail: int, h: Binomial) -> None:
@@ -337,29 +344,27 @@ def buchberger(
 
     for g in gens:
         a, b = packing.pack(g.plus), packing.pack(g.minus)
-        if a != b:
-            push(*_orient(a, b, packing, order))
-    inputs = len(basis)
+        heapq.heappush(heap, (max(_gamma_degree(g.plus, weights), _gamma_degree(g.minus, weights)), -1, a, b))
 
     while heap:
-        _, i, j = heapq.heappop(heap)
-        lcm = pairs.pop((i, j), None)
-        if lcm is None:
-            continue  # dropped by B after it was queued
-        left = reducer.reduce(_rewrite(lcm, leads[i], tails[i], guard))
-        right = reducer.reduce(_rewrite(lcm, leads[j], tails[j], guard))
+        _, i, *rest = heapq.heappop(heap)
+        if i < 0:  # an input: its two packed sides
+            left, right = rest
+        else:
+            (j,) = rest
+            lcm = pairs.pop((i, j), None)
+            if lcm is None:
+                continue  # dropped by B after it was queued
+            left, right = _rewrite(lcm, leads[i], tails[i], guard), _rewrite(lcm, leads[j], tails[j], guard)
+        left, right = reducer.reduce(left), reducer.reduce(right)
         # both sides are fully reduced, so a new element never repeats an old one
         if left != right:
             push(*_orient(left, right, packing, order))
 
-    # minimalize: a later lead divides the lead of every element that is not
-    # live, and an element made from an S-pair has a lead no earlier lead
-    # divides, so only a live input can have its lead divided by another
-    kept = [
-        i
-        for i in sorted(live, key=lambda i: order.key(basis[i].plus))
-        if i >= inputs or not any(k != i and _divides(leads[k], leads[i], guard) for k in live)
-    ]
+    # no lead of an element is divisible by an earlier lead, and an element
+    # whose lead a later lead divides has left live, so the live leads are
+    # the minimal leads
+    kept = sorted(live, key=lambda i: order.key(basis[i].plus))
 
     # interreduce tails against the kept leads
     final = _Reducer(packing, [(leads[i], tails[i]) for i in kept])
@@ -403,39 +408,77 @@ def _x_variables(e: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, e + 1))
 
 
-def _graph_ideal(generators: Sequence[int]) -> list[Binomial]:
-    """t^(n_i) - x_i over (t, x_1, ..., x_e), homogeneous for the weights
-    (1, n_1, ..., n_e)."""
-    e = len(generators)
-    return [
-        Binomial((n,) + (0,) * e, tuple(1 if k == i + 1 else 0 for k in range(e + 1)))
-        for i, n in enumerate(generators)
-    ]
+def _corners(s: NumericalSemigroup) -> list[Binomial]:
+    """One binomial c - x1^k * r(w') per corner c of the Apery staircase.
+
+    With n1 < ... < ne the generators and m = n1, r(w) is the least
+    factorization of the Apery element w under the packed-int order (lex
+    with the last variable most significant, a term order).  Every
+    factorization of w is x1-free, as w - n1 is no member; dropping one
+    variable x_i of r(w) leaves the least factorization of w - n_i, an
+    Apery element too, so r(w) is the least r(w - n_i) + x_i over such i,
+    one pass over the Apery set in increasing order.  The same argument
+    makes R = {r(w)} an order ideal of x1-free monomials.  A corner is a
+    minimal x1-free monomial c outside R, of degree d; w' is the Apery
+    element of the class of d and k = (d - w') / m.  Each corner is some
+    r(w) + x_i with x_i the first variable of its support, and is emitted
+    only from there.
+    """
+    gens, apery = s.generators, s.apery
+    m, e = gens[0], len(gens)
+    packing = _Packing(e)
+    units = [1 << _FIELD * i for i in range(e)]
+    least = [0] * m  # r(w) packed, at index w mod m
+    steps = list(zip(gens[1:], units[1:]))
+    for w in sorted(apery)[1:]:
+        best = -1
+        for n, unit in steps:
+            v = w - n
+            if apery[v % m] == v:  # v is an Apery element, so not negative
+                c = least[v % m] + unit
+                if best < 0 or c < best:
+                    best = c
+        least[w % m] = best
+
+    def staircase(c: int, d: int) -> bool:
+        # c, of degree d, is in R
+        return apery[d % m] == d and least[d % m] == c
+
+    out = []
+    for w in apery:
+        r = least[w % m]
+        for i in range(1, e):
+            if r & (units[i] - 1):
+                break  # r(w) has a variable before x_i
+            c, d = r + units[i], w + gens[i]
+            if not staircase(c, d) and all(
+                staircase(c - units[j], d - gens[j]) for j in range(i + 1, e) if _divides(units[j], c, packing.guard)
+            ):
+                tail = least[d % m] + (d - apery[d % m]) // m  # x1^k * r(w')
+                out.append(Binomial(packing.unpack(c), packing.unpack(tail)))
+    return out
 
 
 def reduced_gb(s: NumericalSemigroup) -> GroebnerBasis:
-    """Reduced degrevlex Groebner basis of the defining ideal.
+    """Reduced degrevlex Groebner basis of the defining ideal I_S.
 
-    Computed by eliminating t from the graph ideal of x_i -> t^(n_i), with
-    S-pairs taken by degree under the weights (1, n_1, ..., n_e) that make
-    that ideal homogeneous; the t-free part of the elimination basis is
-    already the reduced basis for degrevlex on the x variables.
+    ``buchberger`` runs on the corner binomials of the Apery staircase
+    (``_corners``), over x1..xe alone, with S-pairs taken by degree under
+    the weights (n_1, ..., n_e) that make every binomial of I_S homogeneous.
+    The corners generate I_S.  As R is an order ideal, an x1-free monomial
+    outside R has a corner c for a divisor, and rewriting c to x1^k * r(w')
+    strictly lowers the n-degree of the x1-free part when k > 0, and its
+    packed order when k = 0; so every monomial comes down to some
+    x1^a * r(w), and R spans K[x]/(corners) over K[x1].  That module maps
+    onto K[S], which is free over K[t^n1] on the Apery set (Rosales and
+    Garcia-Sanchez, Numerical Semigroups, 2009), sending x1^a * r(w) to
+    t^(a n1 + w); a spanning set sent to a basis is a basis, so the map is
+    an isomorphism and the corners generate its kernel I_S.
     """
     e = s.embedding_dimension
     if e < 2:
         raise EmbeddingDimensionTooSmall(f"need at least 2 generators, got {s.generators}")
-    elim = elimination_order(("t",) + _x_variables(e), block_split=1)
-    full = buchberger(_graph_ideal(s.generators), elim, grading=(1,) + s.generators)
-
-    order = degrevlex(_x_variables(e))
-    elements = []
-    for b in full.elements:
-        if b.plus[0] == 0:
-            if b.minus[0] != 0:
-                raise AssertionError(f"t-free lead with t in the tail: {b}")
-            elements.append(Binomial(b.plus[1:], b.minus[1:]))
-    elements.sort(key=lambda b: order.key(b.plus))
-    gb = GroebnerBasis(tuple(elements), order)
+    gb = buchberger(_corners(s), degrevlex(_x_variables(e)), grading=s.generators)
     _assert_balanced(gb, s.generators)
     _assert_coprime_parts(gb)
     return gb

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: plain-Python dynamic programming,
 exhaustive scans over raw integer sets, and direct fiber enumeration.  None
-of it shares code paths with the implementations under test; the one helper
-that calls the package, ``tree_by_genus``, builds each semigroup from a
-generating set with ``new_semigroup``, not through the Apery-matrix tree.
+of it shares code paths with the implementations under test.  Two helpers
+call the package: ``tree_by_genus`` builds each semigroup from a generating
+set with ``new_semigroup``, not through the Apery-matrix tree, and
+``elimination_gb`` runs ``buchberger`` on the graph ideal under an
+elimination order, not on the corners of the Apery staircase.
 """
 
 from __future__ import annotations
@@ -307,3 +309,34 @@ def monomial_rewrite(m: Sequence[int], lead: Sequence[int], tail: Sequence[int])
 def stdlib_json(value) -> str:
     """The standard library's compact, key-sorted JSON text of ``value``."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def graph_ideal(generators: Sequence[int]) -> list:
+    """t^(n_i) - x_i over (t, x_1, ..., x_e), homogeneous for the weights
+    (1, n_1, ..., n_e)."""
+    from nsg.toric import Binomial
+
+    e = len(generators)
+    return [
+        Binomial((n,) + (0,) * e, tuple(1 if k == i + 1 else 0 for k in range(e + 1)))
+        for i, n in enumerate(generators)
+    ]
+
+
+def elimination_gb(s):
+    """The reduced degrevlex basis of the defining ideal by eliminating t
+    from the graph ideal of x_i -> t^(n_i): the t-free part of its basis
+    under the order that makes every monomial with t beat all t-free ones.
+    That part is the reduced basis of the ideal's t-free part, and every
+    t-free element has a t-free tail, since the tail is smaller."""
+    from nsg.toric import Binomial, GroebnerBasis, buchberger, degrevlex, elimination_order
+
+    xs = tuple(f"x{i}" for i in range(1, len(s.generators) + 1))
+    full = buchberger(graph_ideal(s.generators), elimination_order(("t",) + xs, 1), grading=(1,) + s.generators)
+    order = degrevlex(xs)
+    elements = []
+    for b in full.elements:
+        if b.plus[0] == 0:
+            assert b.minus[0] == 0, f"t-free lead with t in the tail: {b}"
+            elements.append(Binomial(b.plus[1:], b.minus[1:]))
+    return GroebnerBasis(tuple(sorted(elements, key=lambda b: order.key(b.plus))), order)

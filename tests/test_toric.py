@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsg.constructions import arithmetic_semigroup
@@ -14,8 +14,8 @@ from nsg.toric import (
     Binomial,
     _Packing,
     _Reducer,
+    _corners,
     _divides,
-    _graph_ideal,
     _lcm,
     _rewrite,
     _support,
@@ -33,7 +33,9 @@ from nsg.toric import (
 from oracles import (
     apery_binomials,
     buchberger_criterion,
+    elimination_gb,
     fiber_monomials,
+    graph_ideal,
     monomial_divides,
     monomial_lcm,
     monomial_rewrite,
@@ -98,6 +100,31 @@ class TestBuchberger:
         order = degrevlex(["x1", "x2"])
         gb = buchberger([Binomial((0, 2), (3, 0))], order)
         assert gb.elements == (Binomial((3, 0), (0, 2)),)
+
+    GENS = (
+        Binomial((3, 0, 0), (0, 1, 1)),
+        Binomial((0, 3, 0), (2, 0, 1)),
+        Binomial((0, 0, 2), (1, 2, 0)),
+    )
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            GENS + GENS,  # every input twice
+            (Binomial((1, 1, 1), (1, 1, 1)),) + GENS,  # equal sides: the zero binomial
+            GENS + (Binomial((3, 0, 2), (1, 3, 1)),),  # balanced for (4, 5, 7): in the ideal of <4, 5, 7>
+            GENS + (Binomial((1, 3, 1), (3, 0, 2)),),  # the same, with its sides swapped
+            GENS[::-1],
+        ],
+        ids=["duplicated", "equal_sides", "in_ideal", "in_ideal_swapped", "reversed"],
+    )
+    def test_redundant_inputs_change_nothing(self, gens):
+        # each input is reduced when it is taken, so one that reduces to zero
+        # adds nothing and one whose lead another lead divides is not kept
+        order = degrevlex(["x1", "x2", "x3"])
+        expected = buchberger(self.GENS, order, grading=(4, 5, 7))
+        assert buchberger(gens, order, grading=(4, 5, 7)) == expected
+        assert buchberger(gens, order) == expected
 
     def test_input_order_irrelevant(self):
         order = degrevlex(["x1", "x2", "x3"])
@@ -193,16 +220,10 @@ def test_membership_matches_fiber_oracle():
         assert len(set(seen.values())) == len(seen)
 
 
-def apery_basis(s):
-    """Reduced degrevlex basis of the Apery generating set, over the x
-    variables alone: no t and no elimination."""
-    order = degrevlex([f"x{i}" for i in range(1, s.embedding_dimension + 1)])
-    return buchberger([Binomial(*pair) for pair in apery_binomials(s.generators)], order, grading=s.generators)
-
-
 def test_reduced_basis_matches_the_apery_generating_set():
-    # the reduced basis of an ideal is unique, so the elimination route and
-    # the Apery route must agree element for element
+    # the reduced basis of an ideal is unique, so the corner route and the
+    # t-elimination oracle must agree element for element, and every binomial
+    # of the naive Apery generating set must lie in the ideal
     grid = [
         arithmetic_semigroup(n1, d, e)
         for n1 in range(3, 10)
@@ -218,7 +239,40 @@ def test_reduced_basis_matches_the_apery_generating_set():
         gens = [m, *(rng.randint(m + 1, 3 * m) for _ in range(rng.randint(1, 5)))]
         if math.gcd(*gens) == 1:
             drawn.append(new_semigroup(gens))
-    assert [s.generators for s in grid + drawn if apery_basis(s) != reduced_gb(s)] == []
+    assert [s.generators for s in grid + drawn if elimination_gb(s) != reduced_gb(s)] == []
+    outside = [
+        (s.generators, pair)
+        for s in grid + drawn
+        for gb in [reduced_gb(s)]
+        for pair in apery_binomials(s.generators)
+        if normal_form(Binomial(*pair), gb) is not None
+    ]
+    assert outside == []
+
+
+def _degree(m, gens):
+    return sum(a * n for a, n in zip(m, gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(semigroups(max_multiplicity=9, max_extra=4))
+@example(new_semigroup([2, 3]))
+@example(new_semigroup([7, 11]))
+@example(new_semigroup([4001, 4002, 4003]))
+@example(new_semigroup([20011, 20021, 20023, 21001]))
+def test_corners_generate_the_defining_ideal(s):
+    # at most one binomial per Apery element and non-first generator, each
+    # corner once, each balanced with distinct sides; and the reduced basis
+    # they give is the elimination route's, for e = 2 too
+    gens = s.generators
+    corners = _corners(s)
+    assert len(corners) <= (len(gens) - 1) * s.multiplicity
+    assert len({b.plus for b in corners}) == len(corners)
+    for b in corners:
+        assert b.plus != b.minus
+        assert b.plus[0] == 0
+        assert _degree(b.plus, gens) == _degree(b.minus, gens)
+    assert reduced_gb(s) == elimination_gb(s)
 
 
 class TestHomogenizedGb:
@@ -365,7 +419,7 @@ def test_small_arithmetic_grid_bases_pinned(n1_range, count, digest):
 @settings(max_examples=30, deadline=None)
 @given(semigroups(max_multiplicity=8, max_extra=3))
 def test_grading_keeps_graph_ideal_basis(s):
-    gens = _graph_ideal(s.generators)
+    gens = graph_ideal(s.generators)
     order = elimination_order(("t",) + tuple(f"x{i}" for i in range(len(s.generators))), block_split=1)
     graded = buchberger(gens, order, grading=(1,) + s.generators)
     assert graded.elements == buchberger(gens, order).elements
