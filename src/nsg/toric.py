@@ -16,7 +16,10 @@ its Apery set, over x_1..x_e alone with no parameter variable: the least
 factorizations of the Apery elements form a staircase of x_1-free
 monomials, one binomial per corner of it generates the ideal, and
 ``buchberger`` takes those binomials and their S-pairs in order of their
-degree under the weights (n_1, ..., n_e).
+degree under the weights (n_1, ..., n_e), each binomial behind the S-pairs
+of its own degree.  The corners that do not reduce to zero when taken are
+a minimal generating set (``defining_ideal``), so one pass gives both the
+reduced basis and a minimal presentation.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "ClosureVerdict",
     "AcmHypothesisReport",
     "degrevlex",
-    "elimination_order",
     "buchberger",
     "normal_form",
     "defining_ideal",
@@ -51,50 +53,29 @@ __all__ = [
 Monomial = tuple[int, ...]
 
 
-def _drl_key(m: Sequence[int]) -> tuple:
-    # ties break by the latest variable: a larger exponent there sorts lower
-    return (sum(m), tuple(map(operator.neg, reversed(m))))
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order over a fixed variable sequence.
-
-    With no ``block_split`` it is ``degrevlex``, which compares total degree
-    first; with one it is ``elimination-block``, which makes every monomial
-    touching the leading block beat all block-free ones, with degrevlex
-    inside each block.
-    """
+    """Degrevlex over a fixed variable sequence: total degree first, ties
+    broken by the latest variable, where a larger exponent sorts lower."""
 
     variables: tuple[str, ...]
-    block_split: int | None = None
 
     @property
     def kind(self) -> str:
-        return "degrevlex" if self.block_split is None else "elimination-block"
+        return "degrevlex"
 
     def key(self, m: Monomial) -> tuple:
-        if self.block_split is None:
-            return _drl_key(m)
-        split = self.block_split
-        return (_drl_key(m[:split]), _drl_key(m[split:]))
+        return (sum(m), tuple(map(operator.neg, reversed(m))))
 
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
 
     def to_json(self) -> dict:
-        payload = {"kind": self.kind, "variables": list(self.variables)}
-        if self.block_split is not None:
-            payload["block_split"] = self.block_split
-        return payload
+        return {"kind": self.kind, "variables": list(self.variables)}
 
 
 def degrevlex(variables: Sequence[str]) -> MonomialOrder:
     return MonomialOrder(tuple(variables))
-
-
-def elimination_order(variables: Sequence[str], block_split: int) -> MonomialOrder:
-    return MonomialOrder(tuple(variables), block_split)
 
 
 @dataclass(frozen=True)
@@ -262,16 +243,18 @@ def buchberger(
     Normal pair selection: smallest degree of the lcm under ``grading`` (one
     positive integer weight per variable; ``None`` means all ones, the
     standard degree), ties by insertion index.  Each input waits in the same
-    queue at the larger degree of its two sides, ahead of that degree's
-    pairs (equal-degree inputs by packed sides, so the input order never
+    queue at the larger degree of its two sides, behind that degree's pairs
+    (equal-degree inputs by packed sides, so the input order never
     matters); when it is taken both sides are reduced, and it is dropped if
-    they meet.  Every element, input or S-pair, thus enters with a lead no
-    earlier lead divides, and the leads of the elements still live at the
-    end are the minimal leads.  The reduced basis of an
-    ideal under an order is unique, so every positive grading gives the
-    same basis and only the order of work changes.  A grading for which
-    the input is homogeneous makes the pairs come in degree order (the
-    sugar strategy of Giovini-Mora-Niesi-Robbiano-Traverso, ISSAC 1991).
+    they meet, so an input that the pairs of its degree already give is
+    dropped too (``defining_ideal`` rests on this).  Every element, input
+    or S-pair, thus enters with a lead no earlier lead divides, and the
+    leads of the elements still live at the end are the minimal leads.  The
+    reduced basis of an ideal under an order is unique, so every positive
+    grading gives the same basis and only the order of work changes.  A
+    grading for which the input is homogeneous makes the pairs come in
+    degree order (the sugar strategy of Giovini-Mora-Niesi-Robbiano-
+    Traverso, ISSAC 1991).
     Each new element h updates the pair set by the Gebauer-Moeller criteria
     (J. Symbolic Comput. 6, 1988):
 
@@ -291,6 +274,14 @@ def buchberger(
     are unpacked only to orient a new element and to weight a queued pair.
     An exponent of 2**31 or more raises ``InputTooLarge``.
     """
+    return _buchberger(gens, order, grading)[0]
+
+
+def _buchberger(
+    gens: Iterable[Binomial], order: MonomialOrder, grading: Sequence[int] | None
+) -> tuple[GroebnerBasis, list[int]]:
+    """``buchberger``'s loop; also returns the survivors, the indices of the
+    inputs that did not reduce to zero when taken, in the order taken."""
     weights = (1,) * len(order.variables) if grading is None else tuple(grading)
     if len(weights) != len(order.variables) or any(w < 1 for w in weights):
         raise ValueError(f"grading needs a positive weight per variable of {order.variables}, got {grading}")
@@ -301,7 +292,8 @@ def buchberger(
     tails: list[int] = []
     live: list[int] = []  # the elements that may still form new pairs
     pairs: dict[tuple[int, int], int] = {}  # the queued pairs: (i, j) -> packed lcm
-    heap: list[tuple[int, ...]] = []  # (degree, i, j) for a pair, (degree, -1, a, b) for an input
+    heap: list[tuple[int, ...]] = []  # (degree, 0, i, j) for a pair, (degree, 1, a, b, k) for input k
+    survivors: list[int] = []
     reducer = _Reducer(packing)
 
     def push(lead: int, tail: int, h: Binomial) -> None:
@@ -334,7 +326,7 @@ def buchberger(
                 if lcm not in coprime:  # F
                     i = classes[lcm]
                     pairs[i, j] = lcm
-                    heapq.heappush(heap, (sum(map(operator.mul, weights, packing.unpack(lcm))), i, j))
+                    heapq.heappush(heap, (sum(map(operator.mul, weights, packing.unpack(lcm))), 0, i, j))
         live = [i for i in live if not _divides(lead, leads[i], guard)]
         live.append(j)
         basis.append(h)
@@ -342,24 +334,24 @@ def buchberger(
         tails.append(tail)
         reducer.add(lead, tail)
 
-    for g in gens:
+    for k, g in enumerate(gens):
         a, b = packing.pack(g.plus), packing.pack(g.minus)
-        heapq.heappush(heap, (max(_gamma_degree(g.plus, weights), _gamma_degree(g.minus, weights)), -1, a, b))
+        heapq.heappush(heap, (max(_gamma_degree(g.plus, weights), _gamma_degree(g.minus, weights)), 1, a, b, k))
 
     while heap:
-        _, i, *rest = heapq.heappop(heap)
-        if i < 0:  # an input: its two packed sides
-            left, right = rest
-        else:
-            (j,) = rest
-            lcm = pairs.pop((i, j), None)
+        _, is_input, x, y, *k = heapq.heappop(heap)
+        if is_input:  # its two packed sides
+            left, right = x, y
+        else:  # a pair (x, y)
+            lcm = pairs.pop((x, y), None)
             if lcm is None:
                 continue  # dropped by B after it was queued
-            left, right = _rewrite(lcm, leads[i], tails[i], guard), _rewrite(lcm, leads[j], tails[j], guard)
+            left, right = _rewrite(lcm, leads[x], tails[x], guard), _rewrite(lcm, leads[y], tails[y], guard)
         left, right = reducer.reduce(left), reducer.reduce(right)
         # both sides are fully reduced, so a new element never repeats an old one
         if left != right:
             push(*_orient(left, right, packing, order))
+            survivors += k  # [k] for input k, [] for a pair
 
     # no lead of an element is divisible by an earlier lead, and an element
     # whose lead a later lead divides has left live, so the live leads are
@@ -369,7 +361,7 @@ def buchberger(
     # interreduce tails against the kept leads
     final = _Reducer(packing, [(leads[i], tails[i]) for i in kept])
     reduced = [Binomial(basis[i].plus, packing.unpack(final.reduce(tails[i]))) for i in kept]
-    return GroebnerBasis(tuple(reduced), order)
+    return GroebnerBasis(tuple(reduced), order), survivors
 
 
 def normal_form(item: Binomial | Monomial, gb: GroebnerBasis) -> Binomial | Monomial | None:
@@ -422,10 +414,12 @@ def _corners(s: NumericalSemigroup) -> list[Binomial]:
     minimal x1-free monomial c outside R, of degree d; w' is the Apery
     element of the class of d and k = (d - w') / m.  Each corner is some
     r(w) + x_i with x_i the first variable of its support, and is emitted
-    only from there.
+    only from there.  Refuses fewer than 2 generators.
     """
     gens, apery = s.generators, s.apery
     m, e = gens[0], len(gens)
+    if e < 2:
+        raise EmbeddingDimensionTooSmall(f"need at least 2 generators, got {gens}")
     packing = _Packing(e)
     units = [1 << _FIELD * i for i in range(e)]
     least = [0] * m  # r(w) packed, at index w mod m
@@ -475,31 +469,33 @@ def reduced_gb(s: NumericalSemigroup) -> GroebnerBasis:
     t^(a n1 + w); a spanning set sent to a basis is a basis, so the map is
     an isomorphism and the corners generate its kernel I_S.
     """
-    e = s.embedding_dimension
-    if e < 2:
-        raise EmbeddingDimensionTooSmall(f"need at least 2 generators, got {s.generators}")
-    gb = buchberger(_corners(s), degrevlex(_x_variables(e)), grading=s.generators)
+    gb = buchberger(_corners(s), degrevlex(_x_variables(s.embedding_dimension)), grading=s.generators)
     _assert_balanced(gb, s.generators)
     _assert_coprime_parts(gb)
     return gb
 
 
 def defining_ideal(s: NumericalSemigroup) -> list[Binomial]:
-    """A minimal binomial generating set of the defining ideal.
+    """A minimal binomial generating set of the defining ideal I_S: the
+    corner binomials (``_corners``) that survive one ``buchberger`` pass,
+    each with its degrevlex lead as ``plus``, sorted by lead (equal leads
+    in the order taken).
 
-    Starts from the reduced degrevlex basis and drops any element lying in
-    the ideal of the others, scanning from the largest lead down.
+    I_S is graded by S, and ``buchberger`` takes the corners by degree
+    under (n_1, ..., n_e), each behind the S-pairs of its own degree.  When
+    input g of degree d is taken, the reducer is a Groebner basis, up to
+    degree d, of the inputs already taken, because any pair a degree-d
+    element forms has an lcm of larger degree.  So g reduces to zero exactly
+    when it lies in the ideal of the inputs taken before it, and by graded
+    Nakayama the corners that do not are a minimal generating set of the
+    ideal of all of them, which is I_S (Rosales and Garcia-Sanchez,
+    Numerical Semigroups, 2009, ch. 7 and 9).
     """
-    gb = reduced_gb(s)
-    order = gb.order
-    kept = list(gb.elements)
-    for i in reversed(range(len(kept))):
-        if len(kept) == 1:
-            break
-        others = kept[:i] + kept[i + 1 :]
-        if normal_form(kept[i], buchberger(others, order, grading=s.generators)) is None:
-            kept = others
-    return kept
+    corners = _corners(s)
+    order = degrevlex(_x_variables(s.embedding_dimension))
+    kept = [corners[k] for k in _buchberger(corners, order, s.generators)[1]]
+    oriented = [b if order.greater(b.plus, b.minus) else Binomial(b.minus, b.plus) for b in kept]
+    return sorted(oriented, key=lambda b: order.key(b.plus))
 
 
 def homogenized_gb(s: NumericalSemigroup) -> GroebnerBasis:

@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive: plain-Python dynamic programming,
 exhaustive scans over raw integer sets, and direct fiber enumeration.  None
-of it shares code paths with the implementations under test.  Two helpers
+of it shares code paths with the implementations under test.  Three helpers
 call the package: ``tree_by_genus`` builds each semigroup from a generating
-set with ``new_semigroup``, not through the Apery-matrix tree, and
+set with ``new_semigroup``, not through the Apery-matrix tree;
 ``elimination_gb`` runs ``buchberger`` on the graph ideal under an
-elimination order, not on the corners of the Apery staircase.
+elimination order of its own, not on the corners of the Apery staircase;
+and ``irredundant`` runs ``buchberger`` once per element, not one pass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -323,16 +325,42 @@ def graph_ideal(generators: Sequence[int]) -> list:
     ]
 
 
+def _degrevlex_key(m: Sequence[int]) -> tuple:
+    """Total degree first; ties go to the monomial lighter in the last
+    variable, then the one before it, and so on."""
+    return (sum(m), tuple(-x for x in reversed(m)))
+
+
+@dataclasses.dataclass(frozen=True)
+class EliminationOrder:
+    """Every monomial touching the first ``block_split`` variables beats
+    every monomial free of them, with degrevlex inside each block.  It has
+    what ``buchberger`` reads of an order: ``variables``, ``key`` and
+    ``greater``."""
+
+    variables: tuple[str, ...]
+    block_split: int
+
+    def key(self, m: Sequence[int]) -> tuple:
+        return (_degrevlex_key(m[: self.block_split]), _degrevlex_key(m[self.block_split :]))
+
+    def greater(self, a: Sequence[int], b: Sequence[int]) -> bool:
+        return self.key(a) > self.key(b)
+
+    def to_json(self) -> dict:
+        return {"kind": "elimination-block", "variables": list(self.variables), "block_split": self.block_split}
+
+
 def elimination_gb(s):
     """The reduced degrevlex basis of the defining ideal by eliminating t
     from the graph ideal of x_i -> t^(n_i): the t-free part of its basis
     under the order that makes every monomial with t beat all t-free ones.
     That part is the reduced basis of the ideal's t-free part, and every
     t-free element has a t-free tail, since the tail is smaller."""
-    from nsg.toric import Binomial, GroebnerBasis, buchberger, degrevlex, elimination_order
+    from nsg.toric import Binomial, GroebnerBasis, buchberger, degrevlex
 
     xs = tuple(f"x{i}" for i in range(1, len(s.generators) + 1))
-    full = buchberger(graph_ideal(s.generators), elimination_order(("t",) + xs, 1), grading=(1,) + s.generators)
+    full = buchberger(graph_ideal(s.generators), EliminationOrder(("t",) + xs, 1), grading=(1,) + s.generators)
     order = degrevlex(xs)
     elements = []
     for b in full.elements:
@@ -340,3 +368,33 @@ def elimination_gb(s):
             assert b.minus[0] == 0, f"t-free lead with t in the tail: {b}"
             elements.append(Binomial(b.plus[1:], b.minus[1:]))
     return GroebnerBasis(tuple(sorted(elements, key=lambda b: order.key(b.plus))), order)
+
+
+def betti_counts(generators: Sequence[int], degrees: Sequence[int]) -> dict[int, int]:
+    """For each degree s, the number of connected components of the graph
+    on the factorizations of s, two joined when their supports meet, less
+    one: the number of minimal generators of the defining ideal in degree s
+    (Rosales, Semigroup Forum 55, 1997).  A degree with no factorization
+    counts 0."""
+    out = {}
+    for s in degrees:
+        supports = [monomial_support(a) for a in fiber_monomials(generators, s)]
+        components: list[frozenset[int]] = []  # the union of the supports in each component
+        for support in supports:
+            touching = [c for c in components if c & support]
+            components = [c for c in components if not c & support]
+            components.append(support.union(*touching))
+        out[s] = max(len(components) - 1, 0)
+    return out
+
+
+def irredundant(elements: Sequence, grading: Sequence[int]) -> bool:
+    """No binomial of ``elements`` lies in the ideal of the others: each
+    keeps a nonzero normal form modulo a Groebner basis of the rest."""
+    from nsg.toric import buchberger, degrevlex, normal_form
+
+    order = degrevlex([f"x{i}" for i in range(1, len(grading) + 1)])
+    return all(
+        normal_form(b, buchberger(elements[:i] + elements[i + 1 :], order, grading=grading)) is not None
+        for i, b in enumerate(elements)
+    )

@@ -21,7 +21,7 @@ STORED = {
     PseudoFrobeniusSet: ("elements",),
     VerificationOutcome: ("predicted", "computed", "discrepancies"),
     AcmHypothesisReport: ("gb",),
-    MonomialOrder: ("variables", "block_split"),
+    MonomialOrder: ("variables",),
 }
 
 DERIVED = {
@@ -41,7 +41,7 @@ def test_stored_fields_are_the_independent_facts(cls):
 
 
 def test_settable_field_count_and_gap_bound_check_result():
-    assert sum(map(len, STORED.values())) == 13
+    assert sum(map(len, STORED.values())) == 12
     assert "GapBoundCheck" not in nsg.__all__
     report = gap_bound_check(new_semigroup([3, 5, 7]))
     assert isinstance(report, TraceReport) and report.slack == 0
