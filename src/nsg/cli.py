@@ -9,7 +9,9 @@ the direct computation, 4 output I/O failure.  Every ``NsgError`` or
 
 from __future__ import annotations
 
+import atexit
 import contextlib
+import gc
 import sys
 from collections import Counter
 from typing import Iterator
@@ -22,6 +24,12 @@ from .ideals import trace_and_residue
 from .scan import DEFAULT_LIMIT, canonical_json, hunt as run_hunt, info_payload, scan_family
 from .semigroup import NumericalSemigroup, new_semigroup
 from .toric import acm_and_hypothesis
+
+# Whatever is alive when a command ends dies with the process.  Frozen at
+# exit, it is skipped by the interpreter's shutdown collections, which would
+# otherwise walk every tracked object; atexit handlers, stream flushes and
+# module teardown still run.  ``import nsg`` alone leaves the collector be.
+atexit.register(gc.freeze)
 
 
 def _parse_generators(text: str) -> NumericalSemigroup:

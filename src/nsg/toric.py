@@ -19,7 +19,12 @@ monomials, one binomial per corner of it generates the ideal, and
 degree under the weights (n_1, ..., n_e), each binomial behind the S-pairs
 of its own degree.  The corners that do not reduce to zero when taken are
 a minimal generating set (``defining_ideal``), so one pass gives both the
-reduced basis and a minimal presentation.
+reduced basis and a minimal presentation.  On those inputs the loop also
+skips every S-pair whose two sides share a variable: such an S-binomial is
+x^g times an element of I_S of lower degree, as I_S is prime, so the
+degree-ordered loop has already given it a representation below its lcm.
+The criterion rests on primality and on the inputs generating I_S, so the
+public ``buchberger``, which takes any binomials, never applies it.
 """
 
 from __future__ import annotations
@@ -273,15 +278,43 @@ def buchberger(
     packs to a smaller int, so that order extends divisibility.  Monomials
     are unpacked only to orient a new element and to weight a queued pair.
     An exponent of 2**31 or more raises ``InputTooLarge``.
+
+    ``reduced_gb`` and ``defining_ideal`` add a fourth rule, the lattice-ideal
+    criterion, which this function does not apply: a new pair (i, h) with
+    lcm L is not queued when its S-binomial's sides L - lead(i) + tail(i)
+    and L - lead(h) + tail(h) share a variable.  Their input is the corner
+    binomials, which generate the prime ideal I_S and are homogeneous under
+    the weights n.  Then S = x^g * S' with x^g != 1, and x^g is not in I_S,
+    so S' lies in I_S and has a lower degree than L.  When the loop reaches
+    degree deg L, it has taken every input and pair below it, and the part
+    of I_S below deg L is generated by the inputs below it; so the elements
+    so far are a Groebner basis of I_S truncated below deg L, S' has a
+    standard representation over them, and x^g times it represents S with
+    every term below L.  The pair counts as treated, for B and M as for
+    the final basis, and an input still reduces to zero exactly when the
+    inputs before it give it.  On an ideal that is not prime, or on inputs
+    that do not generate it, S' need not lie in the ideal: the criterion
+    then drops basis elements.  For example x2^2 - x1^3 x2^3 x3^3 and
+    x1^3 x2 - x1^3 x3^3 have x2^2 x3^3 - x2^3 in their basis, and only an
+    S-pair whose sides share x2^2 yields it.
     """
     return _buchberger(gens, order, grading)[0]
 
 
 def _buchberger(
-    gens: Iterable[Binomial], order: MonomialOrder, grading: Sequence[int] | None
-) -> tuple[GroebnerBasis, list[int]]:
+    gens: Iterable[Binomial], order: MonomialOrder, grading: Sequence[int] | None, lattice: bool = False
+) -> tuple[GroebnerBasis, list[int], dict[str, int]]:
     """``buchberger``'s loop; also returns the survivors, the indices of the
-    inputs that did not reduce to zero when taken, in the order taken."""
+    inputs that did not reduce to zero when taken, in the order taken, and
+    the counts of its work: pairs queued, pairs skipped by the lattice
+    criterion, pairs reduced and pairs reduced to zero, pushes (elements
+    added) and reducer calls in the loop (two per input or pair taken).
+
+    ``lattice`` turns on the lattice-ideal criterion: a pair whose two
+    S-binomial sides share a variable is not queued.  It holds only for
+    inputs that generate a prime binomial ideal, homogeneous under
+    ``grading`` (the corners of ``_corners`` and I_S; see ``buchberger``).
+    """
     weights = (1,) * len(order.variables) if grading is None else tuple(grading)
     if len(weights) != len(order.variables) or any(w < 1 for w in weights):
         raise ValueError(f"grading needs a positive weight per variable of {order.variables}, got {grading}")
@@ -295,9 +328,10 @@ def _buchberger(
     heap: list[tuple[int, ...]] = []  # (degree, 0, i, j) for a pair, (degree, 1, a, b, k) for input k
     survivors: list[int] = []
     reducer = _Reducer(packing)
+    skipped = reduced = stale = 0
 
     def push(lead: int, tail: int, h: Binomial) -> None:
-        nonlocal live
+        nonlocal live, skipped
         j = len(basis)
         chained = [
             (i, k)
@@ -325,6 +359,11 @@ def _buchberger(
                 minimal.append(lcm)
                 if lcm not in coprime:  # F
                     i = classes[lcm]
+                    if lattice:
+                        left, right = _rewrite(lcm, leads[i], tails[i], guard), _rewrite(lcm, lead, tail, guard)
+                        if left + right != _lcm(left, right, guard):
+                            skipped += 1  # the sides share a variable
+                            continue
                     pairs[i, j] = lcm
                     heapq.heappush(heap, (sum(map(operator.mul, weights, packing.unpack(lcm))), 0, i, j))
         live = [i for i in live if not _divides(lead, leads[i], guard)]
@@ -337,6 +376,7 @@ def _buchberger(
     for k, g in enumerate(gens):
         a, b = packing.pack(g.plus), packing.pack(g.minus)
         heapq.heappush(heap, (max(_gamma_degree(g.plus, weights), _gamma_degree(g.minus, weights)), 1, a, b, k))
+    inputs = len(heap)
 
     while heap:
         _, is_input, x, y, *k = heapq.heappop(heap)
@@ -345,7 +385,9 @@ def _buchberger(
         else:  # a pair (x, y)
             lcm = pairs.pop((x, y), None)
             if lcm is None:
+                stale += 1
                 continue  # dropped by B after it was queued
+            reduced += 1
             left, right = _rewrite(lcm, leads[x], tails[x], guard), _rewrite(lcm, leads[y], tails[y], guard)
         left, right = reducer.reduce(left), reducer.reduce(right)
         # both sides are fully reduced, so a new element never repeats an old one
@@ -360,8 +402,16 @@ def _buchberger(
 
     # interreduce tails against the kept leads
     final = _Reducer(packing, [(leads[i], tails[i]) for i in kept])
-    reduced = [Binomial(basis[i].plus, packing.unpack(final.reduce(tails[i]))) for i in kept]
-    return GroebnerBasis(tuple(reduced), order), survivors
+    elements = tuple(Binomial(basis[i].plus, packing.unpack(final.reduce(tails[i]))) for i in kept)
+    counts = {
+        "pairs_queued": reduced + stale,
+        "pairs_skipped": skipped,
+        "pairs_reduced": reduced,
+        "pairs_to_zero": reduced - (len(basis) - len(survivors)),
+        "pushes": len(basis),
+        "reducer_calls": 2 * (inputs + reduced),
+    }
+    return GroebnerBasis(elements, order), survivors, counts
 
 
 def normal_form(item: Binomial | Monomial, gb: GroebnerBasis) -> Binomial | Monomial | None:
@@ -469,7 +519,7 @@ def reduced_gb(s: NumericalSemigroup) -> GroebnerBasis:
     t^(a n1 + w); a spanning set sent to a basis is a basis, so the map is
     an isomorphism and the corners generate its kernel I_S.
     """
-    gb = buchberger(_corners(s), degrevlex(_x_variables(s.embedding_dimension)), grading=s.generators)
+    gb = _buchberger(_corners(s), degrevlex(_x_variables(s.embedding_dimension)), s.generators, lattice=True)[0]
     _assert_balanced(gb, s.generators)
     _assert_coprime_parts(gb)
     return gb
@@ -493,7 +543,7 @@ def defining_ideal(s: NumericalSemigroup) -> list[Binomial]:
     """
     corners = _corners(s)
     order = degrevlex(_x_variables(s.embedding_dimension))
-    kept = [corners[k] for k in _buchberger(corners, order, s.generators)[1]]
+    kept = [corners[k] for k in _buchberger(corners, order, s.generators, lattice=True)[1]]
     oriented = [b if order.greater(b.plus, b.minus) else Binomial(b.minus, b.plus) for b in kept]
     return sorted(oriented, key=lambda b: order.key(b.plus))
 

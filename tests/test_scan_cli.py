@@ -835,6 +835,45 @@ class TestCli:
         assert result.output.splitlines()[-1] == errors[0]
         assert not out.exists()
 
+    def test_only_the_command_line_registers_an_exit_callback(self):
+        # nsg.cli freezes the collector at exit; the library leaves it be
+        src = str(Path(scan_mod.__file__).parents[1])
+        code = (
+            "import atexit; start = atexit._ncallbacks(); import nsg; lib = atexit._ncallbacks() - start; "
+            "import nsg.cli; print(lib, atexit._ncallbacks() - start)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert result.stdout == "0 1\n"
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["scan", "arithmetic", "--max-multiplicity", "5", "--out", "{out}"], 0),
+            (["hunt", "--max-genus", "3", "--out", "{missing}"], 4),
+        ],
+        ids=["exit-0", "exit-4"],
+    )
+    def test_fresh_process_exit_keeps_streams_and_code(self, runner, tmp_path, args, code):
+        # a standalone run, which ends through the interpreter's exit, prints
+        # and writes what the in-process run does, with the same exit code
+        env = {**os.environ, "PYTHONPATH": str(Path(scan_mod.__file__).parents[1]), "SOURCE_DATE_EPOCH": "0"}
+        runs = []
+        for where in ("fresh", "inline"):
+            out, missing = tmp_path / f"{where}.jsonl", tmp_path / "nope" / "h.jsonl"
+            argv = [arg.format(out=out, missing=missing) for arg in args]
+            if where == "fresh":
+                done = subprocess.run([sys.executable, "-m", "nsg.cli", *argv], capture_output=True, text=True, env=env)
+                result = (done.returncode, done.stdout, done.stderr)
+            else:
+                done = runner.invoke(main, argv, env={"SOURCE_DATE_EPOCH": "0"})
+                result = (done.exit_code, done.stdout, done.stderr)
+            runs.append((*result, out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
+        assert "Exception ignored" not in runs[0][2]
+        assert (runs[0][3] is None) == (code == 4)
+
 
 @pytest.mark.parametrize(
     "args, message",

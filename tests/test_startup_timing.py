@@ -1,0 +1,31 @@
+"""A smoke run of ``tools/startup_timing.py``, which starts fresh child
+interpreters that import ``nsg`` from the ``src`` beside it, so a renamed
+entry point or a broken exit path shows here rather than in a later
+measurement."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "startup_timing.py"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="the thread count needs /proc/self/task")
+def test_one_round_reports_every_command():
+    argv = [sys.executable, str(TOOL), "--rounds", "1", "--json"]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+    rows = json.loads(proc.stdout)
+    assert [row["command"] for row in rows] == [
+        "python -c pass",
+        "import numpy",
+        "nsg --help",
+        "nsg --help, no teardown",
+        "nsg hunt --max-genus 14",
+    ]
+    for row in rows:
+        assert row["rounds"] == 1
+        assert row["wall_s"] > 0 and row["cpu_s"] >= 0 and row["peak_rss_mib"] > 0
+        assert row["threads"] >= 1

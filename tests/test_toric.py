@@ -149,7 +149,7 @@ class TestBuchberger:
     @staticmethod
     def survivors(gens, grading):
         order = degrevlex(["x1", "x2", "x3"])
-        gb, kept = _buchberger(gens, order, grading)
+        gb, kept, _ = _buchberger(gens, order, grading)
         assert gb == buchberger(gens, order, grading=grading)
         return [gens[k] for k in kept]
 
@@ -265,6 +265,104 @@ def test_defining_ideal_is_a_minimal_presentation_on_the_grid():
 @example(new_semigroup([15, 17, 19, 26, 35]))
 def test_defining_ideal_is_a_minimal_presentation(s):
     _assert_minimal_presentation(s)
+
+
+def _arithmetic_grid(lo, hi):
+    return [
+        arithmetic_semigroup(n1, d, e)
+        for n1 in range(lo, hi + 1)
+        for d in range(1, 6)
+        if math.gcd(n1, d) == 1
+        for e in range(3, n1 + 1)
+    ]
+
+
+def _corner_pass(s, lattice):
+    order = degrevlex([f"x{i}" for i in range(1, s.embedding_dimension + 1)])
+    return _buchberger(_corners(s), order, s.generators, lattice=lattice)
+
+
+class TestLatticeCriterion:
+    # a pair whose S-binomial sides share a variable is not queued; on the
+    # corners of I_S the basis and the survivors stay, only the work drops
+
+    def test_counts_on_457(self):
+        # three corners, all minimal generators; both of their pairs have
+        # sides that share a variable
+        s = new_semigroup([4, 5, 7])
+        assert _corner_pass(s, lattice=False)[2] == {
+            "pairs_queued": 2,
+            "pairs_skipped": 0,
+            "pairs_reduced": 2,
+            "pairs_to_zero": 2,
+            "pushes": 3,
+            "reducer_calls": 10,
+        }
+        assert _corner_pass(s, lattice=True)[2] == {
+            "pairs_queued": 0,
+            "pairs_skipped": 2,
+            "pairs_reduced": 0,
+            "pairs_to_zero": 0,
+            "pushes": 3,
+            "reducer_calls": 6,
+        }
+
+    def test_counts_on_the_grid(self):
+        # the n1 <= 8 grid: every pair reduced comes out zero, with the
+        # criterion or without, and every push comes from a corner
+        grid = _arithmetic_grid(3, 8)
+        assert len(grid) == 73
+        totals = {}
+        for lattice in (False, True):
+            totals[lattice] = Counter()
+            for s in grid:
+                totals[lattice].update(_corner_pass(s, lattice)[2])
+        assert totals[False] == {
+            "pairs_queued": 1548,
+            "pairs_skipped": 0,
+            "pairs_reduced": 1548,
+            "pairs_to_zero": 1548,
+            "pushes": 653,
+            "reducer_calls": 4494,
+        }
+        assert totals[True] == {
+            "pairs_queued": 468,
+            "pairs_skipped": 1080,
+            "pairs_reduced": 468,
+            "pairs_to_zero": 468,
+            "pushes": 653,
+            "reducer_calls": 2334,
+        }
+
+    def test_keeps_basis_and_survivors_on_the_grid(self):
+        grid = _arithmetic_grid(3, 12)
+        assert len(grid) == 182
+        for s in grid:
+            assert _corner_pass(s, lattice=True)[:2] == _corner_pass(s, lattice=False)[:2], s.generators
+
+    @settings(max_examples=80, deadline=None)
+    @given(semigroups())
+    @example(new_semigroup([2, 3]))
+    @example(new_semigroup([15, 17, 19, 26, 35]))
+    def test_keeps_basis_and_survivors(self, s):
+        assert _corner_pass(s, lattice=True)[:2] == _corner_pass(s, lattice=False)[:2]
+
+    def test_wrong_off_a_prime_ideal(self):
+        # (x2^2 - x1^3 x2^3 x3^3, x1^3 x2 - x1^3 x3^3) is not saturated: the
+        # S-pair that gives x2^2 x3^3 - x2^3 has sides sharing x2^2, so the
+        # public buchberger, which never applies the criterion, keeps it
+        order = degrevlex(["x1", "x2", "x3"])
+        gens = [Binomial((0, 2, 0), (3, 3, 3)), Binomial((3, 1, 0), (3, 0, 3))]
+        gb = buchberger(gens, order)
+        assert gb.elements == (
+            Binomial((0, 2, 3), (0, 3, 0)),
+            Binomial((3, 0, 3), (3, 1, 0)),
+            Binomial((3, 4, 0), (0, 2, 0)),
+        )
+        assert spair_oracle(gb)
+        forced, _, counts = _buchberger(gens, order, None, lattice=True)
+        assert forced.elements == gb.elements[1:]
+        assert counts["pairs_skipped"] == 1
 
 
 class TestNormalForm:

@@ -3,7 +3,8 @@
     python tools/startup_timing.py [--src SRC_DIR] [--rounds N] [--json]
 
 Each round runs one fresh child interpreter for each of ``python -c pass``,
-``import numpy``, ``nsg --help`` and ``nsg hunt --max-genus 14``, with
+``import numpy``, ``nsg --help``, ``nsg --help, no teardown`` and ``nsg hunt
+--max-genus 14``, with
 ``nsg`` imported from SRC_DIR (default ``src`` beside this script),
 NSG_THREADS=1 and SOURCE_DATE_EPOCH=0; the rest of the environment is this
 process's, so an OPENBLAS_NUM_THREADS set by the caller reaches the
@@ -13,6 +14,11 @@ peak resident set size (``os.wait4``), and the number of threads the child
 runs as it exits (``/proc/self/task``, read from an ``atexit`` hook):
 
     nsg --help: wall 0.160 s, cpu 0.158 s, peak RSS 30.1 MiB, threads 1
+
+``nsg --help, no teardown`` runs the same command, then flushes stdout and
+stderr and leaves through ``os._exit``: no atexit handler, no module
+teardown and no shutdown collection.  Its gap to ``nsg --help`` is the exit
+cost the command still pays.
 
 ``--json`` prints one JSON list of the per-command medians instead.  Point
 ``--src`` at another checkout's ``src`` to compare two commits.  The thread
@@ -34,10 +40,22 @@ from pathlib import Path
 # once the command is done
 HOOK = "import atexit, os, sys; atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
 NSG = "import runpy, sys; sys.argv[1:] = {!r}; runpy.run_module('nsg.cli', run_name='__main__', alter_sys=True)"
+# prints the hook's line itself, as os._exit skips the hook
+NO_TEARDOWN = """status = 0
+try:
+    {}
+except SystemExit as exc:
+    status = exc.code or 0
+print(len(os.listdir('/proc/self/task')), file=sys.stderr)
+sys.stdout.flush()
+sys.stderr.flush()
+os._exit(status)
+"""
 COMMANDS = {
     "python -c pass": "pass",
     "import numpy": "import numpy",
     "nsg --help": NSG.format(["--help"]),
+    "nsg --help, no teardown": NO_TEARDOWN.format(NSG.format(["--help"])),
     "nsg hunt --max-genus 14": NSG.format(["hunt", "--max-genus", "14"]),
 }
 
