@@ -263,6 +263,7 @@ def test_defining_ideal_is_a_minimal_presentation_on_the_grid():
 @example(new_semigroup([2, 3]))
 # a corner here reduces to zero only after an S-pair of its own degree
 @example(new_semigroup([15, 17, 19, 26, 35]))
+@example(new_semigroup([5, 11, 12, 13]))
 def test_defining_ideal_is_a_minimal_presentation(s):
     _assert_minimal_presentation(s)
 
@@ -291,7 +292,6 @@ class TestLatticeCriterion:
         # sides that share a variable
         s = new_semigroup([4, 5, 7])
         assert _corner_pass(s, lattice=False)[2] == {
-            "pairs_queued": 2,
             "pairs_skipped": 0,
             "pairs_reduced": 2,
             "pairs_to_zero": 2,
@@ -299,7 +299,6 @@ class TestLatticeCriterion:
             "reducer_calls": 10,
         }
         assert _corner_pass(s, lattice=True)[2] == {
-            "pairs_queued": 0,
             "pairs_skipped": 2,
             "pairs_reduced": 0,
             "pairs_to_zero": 0,
@@ -318,7 +317,6 @@ class TestLatticeCriterion:
             for s in grid:
                 totals[lattice].update(_corner_pass(s, lattice)[2])
         assert totals[False] == {
-            "pairs_queued": 1548,
             "pairs_skipped": 0,
             "pairs_reduced": 1548,
             "pairs_to_zero": 1548,
@@ -326,13 +324,38 @@ class TestLatticeCriterion:
             "reducer_calls": 4494,
         }
         assert totals[True] == {
-            "pairs_queued": 468,
             "pairs_skipped": 1080,
             "pairs_reduced": 468,
             "pairs_to_zero": 468,
             "pushes": 653,
             "reducer_calls": 2334,
         }
+
+    def test_counts_where_the_chain_criterion_would_drop_a_pair(self):
+        # the chain criterion of Gebauer-Moeller would drop one queued pair
+        # of this corner pass; the loop reduces it to zero instead, and the
+        # basis and the survivors stay
+        s = new_semigroup([5, 11, 12, 13])
+        gb, survivors, counts = _corner_pass(s, lattice=True)
+        assert counts == {
+            "pairs_skipped": 9,
+            "pairs_reduced": 5,
+            "pairs_to_zero": 2,
+            "pushes": 8,
+            "reducer_calls": 22,
+        }
+        assert survivors == [0, 1, 2, 3, 4]
+        assert _corner_pass(s, lattice=False)[:2] == (gb, survivors)
+        assert [(b.plus, b.minus) for b in gb.elements] == [
+            ((0, 0, 2, 0), (0, 1, 0, 1)),
+            ((2, 0, 0, 1), (0, 1, 1, 0)),
+            ((2, 0, 1, 0), (0, 2, 0, 0)),
+            ((1, 2, 1, 0), (0, 0, 0, 3)),
+            ((0, 4, 0, 0), (1, 0, 0, 3)),
+            ((1, 3, 0, 0), (0, 0, 1, 2)),
+            ((3, 1, 0, 0), (0, 0, 0, 2)),
+            ((5, 0, 0, 0), (0, 0, 1, 1)),
+        ]
 
     def test_keeps_basis_and_survivors_on_the_grid(self):
         grid = _arithmetic_grid(3, 12)
@@ -344,6 +367,9 @@ class TestLatticeCriterion:
     @given(semigroups())
     @example(new_semigroup([2, 3]))
     @example(new_semigroup([15, 17, 19, 26, 35]))
+    # the chain criterion, which the loop does not apply, drops pairs of
+    # the plain pass here
+    @example(new_semigroup([5, 7, 11, 13]))
     def test_keeps_basis_and_survivors(self, s):
         assert _corner_pass(s, lattice=True)[:2] == _corner_pass(s, lattice=False)[:2]
 
@@ -457,6 +483,7 @@ GB_4001 = GroebnerBasis(
 @example(new_semigroup([7, 11]))
 @example(new_semigroup([4001, 4002, 4003]))
 @example(new_semigroup([20011, 20021, 20023, 21001]))
+@example(new_semigroup([5, 11, 12, 13]))
 def test_corners_generate_the_defining_ideal(s):
     # at most one binomial per Apery element and non-first generator, each
     # corner once, each balanced with distinct sides; and the reduced basis
