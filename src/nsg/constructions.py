@@ -9,7 +9,6 @@ semigroup and reports field-by-field agreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     GcdViolation,
@@ -20,7 +19,7 @@ from .errors import (
     NonMinimalSequence,
 )
 from .ideals import RelativeIdeal, TraceReport, generated_ideal, minimal_generators, trace_and_residue
-from .semigroup import NumericalSemigroup, new_semigroup
+from .semigroup import NumericalSemigroup, _Value, new_semigroup
 
 __all__ = [
     "GluingSpec",
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GluingSpec:
+class GluingSpec(_Value):
     """Parameters of a gluing: two factors plus the cross scaling pair.
 
     ``lam`` must be a non-generator member of ``left`` and ``mu`` one of
@@ -44,14 +42,14 @@ class GluingSpec:
     mu * (left generators) together with lam * (right generators).
     """
 
+    __slots__ = ("left", "right", "lam", "mu")
     left: NumericalSemigroup
     right: NumericalSemigroup
     lam: int
     mu: int
 
 
-@dataclass(frozen=True)
-class PredictedInvariants:
+class PredictedInvariants(_Value):
     """Closed-form predictions for a glued or lifted semigroup.
 
     For gluings the whole trace is predicted as a set (``trace_set``); for
@@ -59,13 +57,15 @@ class PredictedInvariants:
     stays None.
     """
 
+    __slots__ = ("frobenius", "pf", "trace_min_gens", "residue", "gap_bound", "provenance", "trace_set")
+    _defaults = {"trace_set": None}
     frobenius: int
     pf: tuple[int, ...]
     trace_min_gens: tuple[int, ...]
     residue: int
     gap_bound: int
     provenance: str
-    trace_set: RelativeIdeal | None = None
+    trace_set: RelativeIdeal | None
 
     def to_json(self) -> dict:
         """The five predicted invariants, JSON-ready."""
@@ -78,11 +78,11 @@ class PredictedInvariants:
         }
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(_Value):
     """A prediction, the trace report computed directly, and the names of
     the fields on which they disagree; verified iff there are none."""
 
+    __slots__ = ("predicted", "computed", "discrepancies")
     predicted: PredictedInvariants
     computed: TraceReport
     discrepancies: tuple[str, ...]

@@ -27,13 +27,12 @@ rows; ``trace_and_residue`` is its one-row call, wrapped into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .errors import AmbientMismatch, TrivialSemigroup
-from .semigroup import NumericalSemigroup, _fold, _maximal, _members, _row, _sorted_rows
+from .semigroup import NumericalSemigroup, _Value, _fold, _maximal, _members, _row, _sorted_rows
 
 __all__ = [
     "RelativeIdeal",
@@ -50,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RelativeIdeal:
+class RelativeIdeal(_Value):
     """A relative ideal, stored as its class-minimum vector.
 
     ``mins[c]`` is the least element congruent to c mod the multiplicity m of
@@ -65,10 +63,12 @@ class RelativeIdeal:
     the check (``_ideal``).
     """
 
+    __slots__ = ("ambient", "mins")
     ambient: NumericalSemigroup
     mins: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, ambient: NumericalSemigroup, mins: tuple[int, ...]):
+        super().__init__(ambient, mins)
         m = self.ambient.multiplicity
         if len(self.mins) != m:
             raise ValueError(f"need one class minimum per residue mod {m}, got {len(self.mins)}")
@@ -92,7 +92,7 @@ def _ideal(s: NumericalSemigroup, mins: list[int]) -> RelativeIdeal:
     """The ideal of a class-minimum vector that is closed by construction,
     made without the closure check of ``RelativeIdeal``."""
     ideal = object.__new__(RelativeIdeal)
-    vars(ideal).update(ambient=s, mins=tuple(mins))
+    _Value.__init__(ideal, s, tuple(mins))
     return ideal
 
 
@@ -121,8 +121,7 @@ def _sum(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _fold(x, -gens, np.minimum)
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(_Value):
     """Trace ideal of the canonical ideal, with its residue and the genus.
 
     ``pf`` holds the pseudo-Frobenius numbers; the naturals carry (-1,):
@@ -135,6 +134,7 @@ class TraceReport:
     derive from them when read.
     """
 
+    __slots__ = ("trace", "trace_min_gens", "pf", "residue", "genus")
     trace: RelativeIdeal
     trace_min_gens: tuple[int, ...]
     pf: tuple[int, ...]

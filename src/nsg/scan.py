@@ -19,7 +19,6 @@ import os
 import random
 import tempfile
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,7 +37,7 @@ from .constructions import (
 )
 from .errors import GluingError, InvalidSetting
 from .ideals import TraceReport, classification, gap_bound_check, trace_and_residue, trace_columns  # noqa: F401
-from .semigroup import NumericalSemigroup, _members, _row, _sorted_rows, new_semigroup
+from .semigroup import NumericalSemigroup, _Value, _members, _row, _sorted_rows, new_semigroup
 from .toric import acm_and_hypothesis
 
 # Instance count of a random, gluing or lifting scan when no limit is given.
@@ -113,8 +112,12 @@ def _stamp(seed: int) -> dict:
     return {"seed": seed, "timestamp": timestamp}
 
 
-@dataclass(frozen=True)
-class ScanSummary:
+class ScanSummary(_Value):
+    """The tallies of one scan, printed as its summary line: the records
+    written and how many of them are Gorenstein, nearly Gorenstein, answer
+    the gap-bound question yes and failed their ``--verify`` check."""
+
+    __slots__ = ("records", "gorenstein", "nearly_gorenstein", "question_holds", "verification_failures")
     records: int
     gorenstein: int
     nearly_gorenstein: int

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -142,8 +141,78 @@ class NumericalSemigroup:
         return f"NumericalSemigroup({list(self.generators)})"
 
 
-@dataclass(frozen=True)
-class GapProfile:
+class _Value:
+    """Base of the immutable result types.
+
+    A subclass lists its fields, in order, as ``__slots__`` (its class body
+    annotates their types) and the defaults of trailing fields, if any, in
+    ``_defaults``.  An instance is built by position or by keyword, refuses
+    assignment and deletion, equals only an instance of its own class with
+    equal fields, hashes as the tuple of its fields, prints as
+    ``Name(field=value, ...)`` and pickles as its class called on its
+    fields.  Every method is written once, here, so defining a subclass
+    generates and compiles no code.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        # the slots' own setters, which write past the refusing __setattr__ below
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        i = len(setters)
+        if kwargs or len(args) != i:
+            args = self._bind(args, kwargs)
+        while i:  # by index, the cheapest loop: about what a generated __init__ costs
+            i -= 1
+            setters[i](self, args[i])
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values, in field order, of a call that names fields or
+        leaves defaults out."""
+        fields = cls.__slots__
+        values = list(args)
+        for name in fields[len(args) :]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))  # the call's own dict
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__qualname__} needs a value for {name!r}")
+        if kwargs or len(values) > len(fields):
+            raise TypeError(f"{cls.__qualname__} takes ({', '.join(fields)}), not {len(args)} and {sorted(kwargs)}")
+        return values
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class GapProfile(_Value):
     """Gap data of a semigroup, stored as the increasing gap list.
 
     The genus (the gap count), the Frobenius number (the largest gap, -1 for
@@ -151,6 +220,7 @@ class GapProfile:
     derived when read.
     """
 
+    __slots__ = ("gaps",)
     gaps: tuple[int, ...]
 
     @property
@@ -166,11 +236,11 @@ class GapProfile:
         return self.frobenius + 1 - self.genus
 
 
-@dataclass(frozen=True)
-class PseudoFrobeniusSet:
+class PseudoFrobeniusSet(_Value):
     """The pseudo-Frobenius numbers (gaps x with x + s inside for all nonzero
     members s); their count is the type."""
 
+    __slots__ = ("elements",)
     elements: tuple[int, ...]
 
     @property

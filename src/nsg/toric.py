@@ -32,13 +32,12 @@ from __future__ import annotations
 import heapq
 import operator
 import struct
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import EmbeddingDimensionTooSmall, InputTooLarge
 from .ideals import trace_and_residue
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _Value
 
 __all__ = [
     "Binomial",
@@ -58,11 +57,11 @@ __all__ = [
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(_Value):
     """Degrevlex over a fixed variable sequence: total degree first, ties
     broken by the latest variable, where a larger exponent sorts lower."""
 
+    __slots__ = ("variables",)
     variables: tuple[str, ...]
 
     @property
@@ -83,11 +82,11 @@ def degrevlex(variables: Sequence[str]) -> MonomialOrder:
     return MonomialOrder(tuple(variables))
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(_Value):
     """A pure-difference binomial; ``plus`` is the leading monomial under
     whatever order produced it."""
 
+    __slots__ = ("plus", "minus")
     plus: Monomial
     minus: Monomial
 
@@ -222,10 +221,10 @@ class _Reducer:
                 return m
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(_Value):
     """A reduced Groebner basis of a pure-difference binomial ideal."""
 
+    __slots__ = ("elements", "order")
     elements: tuple[Binomial, ...]
     order: MonomialOrder
 
@@ -566,8 +565,7 @@ def homogenized_gb(s: NumericalSemigroup) -> GroebnerBasis:
     return gb
 
 
-@dataclass(frozen=True)
-class AcmHypothesisReport:
+class AcmHypothesisReport(_Value):
     """The reduced degrevlex basis of a curve with at least 3 generators;
     both tests of the transfer criterion are read off it.
 
@@ -576,6 +574,7 @@ class AcmHypothesisReport:
     somewhere in its support.
     """
 
+    __slots__ = ("gb",)
     gb: GroebnerBasis
 
     @property
@@ -594,8 +593,7 @@ class AcmHypothesisReport:
         return ClosureVerdict(self.acm, self.hypothesis, affine_ng)
 
 
-@dataclass(frozen=True)
-class ClosureVerdict:
+class ClosureVerdict(_Value):
     """Transfer of the nearly-Gorenstein property to the projective closure.
 
     The transfer criterion is ``applicable`` when the curve passes the
@@ -604,6 +602,7 @@ class ClosureVerdict:
     then, and None otherwise.
     """
 
+    __slots__ = ("acm", "hypothesis", "affine_ng")
     acm: bool
     hypothesis: bool
     affine_ng: bool

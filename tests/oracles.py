@@ -313,6 +313,13 @@ def stdlib_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def replaced(value, **changes):
+    """A copy of the nsg value ``value`` (a class whose fields are its
+    ``__slots__``) with the named fields changed."""
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    return type(value)(**{**fields, **changes})
+
+
 def graph_ideal(generators: Sequence[int]) -> list:
     """t^(n_i) - x_i over (t, x_1, ..., x_e), homogeneous for the weights
     (1, n_1, ..., n_e)."""

@@ -2,7 +2,8 @@
 modules' own lists joined, every function the benchmark's spans wrap is
 still a function of its module, so a deletion that would break ``pytest
 bench`` fails here too, no other module reaches into the private helpers of
-``nsg.ideals``, and one function reads the environment settings."""
+``nsg.ideals``, one function reads the environment settings, and no module
+imports ``dataclasses``."""
 
 import ast
 import importlib
@@ -76,3 +77,17 @@ def test_one_function_reads_the_environment():
                 if {alias.name for alias in node.names} & {"environ", "getenv"}:
                     reads.add((path.name, scope.get(node)))
     assert reads == {("scan.py", "_setting"), ("__init__.py", None)}
+
+
+def test_no_module_imports_dataclasses():
+    # the result types derive from semigroup._Value, which generates no
+    # code when a class is defined; @dataclass compiles its methods at
+    # every import
+    imports = []
+    for path in sorted(Path(nsg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                imports.append(f"{path.name}: from {node.module}")
+    assert imports == []

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -27,7 +26,7 @@ from nsg.ideals import generated_ideal, trace_and_residue
 from nsg.scan import random_gluing_spec, random_lift
 from nsg.semigroup import gap_profile, new_semigroup
 
-from oracles import dp_membership
+from oracles import dp_membership, replaced
 from strategies import semigroups
 
 
@@ -207,7 +206,7 @@ class TestVerifyConstruction:
     def test_corrupted_prediction_flagged(self, field):
         s = new_semigroup([3, 5, 7])
         pred = lifted_invariants(s, 2)
-        corrupted = dataclasses.replace(pred, **{field: CORRUPTIONS[field](getattr(pred, field))})
+        corrupted = replaced(pred, **{field: CORRUPTIONS[field](getattr(pred, field))})
         outcome = verify_construction(corrupted, lift(s, 2))
         assert not outcome.verified
         assert outcome.discrepancies == (field,)
@@ -219,7 +218,7 @@ class TestVerifyConstruction:
         built = glue(spec)
         pred = glued_invariants(spec)
         wrong = generated_ideal(built, (*pred.trace_min_gens, built.multiplicity))
-        outcome = verify_construction(dataclasses.replace(pred, trace_set=wrong), built)
+        outcome = verify_construction(replaced(pred, trace_set=wrong), built)
         assert not outcome.verified
         assert outcome.discrepancies == ("trace_set",)
 

@@ -91,6 +91,8 @@ class TestRelativeIdeal:
         with pytest.raises(ValueError, match="class-minimum vector"):
             RelativeIdeal(new_semigroup([3, 5, 7]), (0, 4, 8))
         with pytest.raises(ValueError, match="class-minimum vector"):
+            RelativeIdeal(ambient=new_semigroup([3, 5, 7]), mins=(0, 4, 8))
+        with pytest.raises(ValueError, match="class-minimum vector"):
             RelativeIdeal(new_semigroup([2, 3]), (1, 0))  # classes swapped
 
 

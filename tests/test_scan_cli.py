@@ -35,7 +35,7 @@ from nsg.scan import (
 )
 from nsg.semigroup import new_semigroup
 
-from oracles import brute_pf, dp_membership, gap_sets_by_genus, tree_by_genus, window
+from oracles import brute_pf, dp_membership, gap_sets_by_genus, replaced, tree_by_genus, window
 from strategies import semigroups
 
 
@@ -588,13 +588,11 @@ class TestCli:
         assert "generator" in result.output
 
     def test_glue_verification_failure_exits_3(self, runner, monkeypatch):
-        import dataclasses
-
         real = cli_mod.verify_construction
 
         def corrupted(predicted, built):
             outcome = real(predicted, built)
-            return dataclasses.replace(outcome, discrepancies=("residue",))
+            return replaced(outcome, discrepancies=("residue",))
 
         monkeypatch.setattr(cli_mod, "verify_construction", corrupted)
         result = runner.invoke(

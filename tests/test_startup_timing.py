@@ -4,6 +4,7 @@ entry point or a broken exit path shows here rather than in a later
 measurement."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,8 @@ def test_one_round_reports_every_command():
     assert [row["command"] for row in rows] == [
         "python -c pass",
         "import numpy",
+        "import numpy, click, orjson",
+        "import nsg.cli",
         "nsg --help",
         "nsg --help, no teardown",
         "nsg hunt --max-genus 14",
@@ -29,3 +32,5 @@ def test_one_round_reports_every_command():
         assert row["rounds"] == 1
         assert row["wall_s"] > 0 and row["cpu_s"] >= 0 and row["peak_rss_mib"] > 0
         assert row["threads"] >= 1
+    # the children run without -B, so only the inherited environment sets the flag
+    assert {row["dont_write_bytecode"] for row in rows} == {int(bool(os.environ.get("PYTHONDONTWRITEBYTECODE")))}

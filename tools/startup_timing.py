@@ -3,17 +3,25 @@
     python tools/startup_timing.py [--src SRC_DIR] [--rounds N] [--json]
 
 Each round runs one fresh child interpreter for each of ``python -c pass``,
-``import numpy``, ``nsg --help``, ``nsg --help, no teardown`` and ``nsg hunt
---max-genus 14``, with
+``import numpy``, ``import numpy, click, orjson``, ``import nsg.cli``, ``nsg
+--help``, ``nsg --help, no teardown`` and ``nsg hunt --max-genus 14``, with
 ``nsg`` imported from SRC_DIR (default ``src`` beside this script),
 NSG_THREADS=1 and SOURCE_DATE_EPOCH=0; the rest of the environment is this
 process's, so an OPENBLAS_NUM_THREADS set by the caller reaches the
 children.  For each command it prints the median over N rounds (default 9)
 of the wall time until the child has exited, its user + system CPU time and
-peak resident set size (``os.wait4``), and the number of threads the child
-runs as it exits (``/proc/self/task``, read from an ``atexit`` hook):
+peak resident set size (``os.wait4``), the number of threads the child runs
+as it exits (``/proc/self/task``, read from an ``atexit`` hook), and whether
+the child writes bytecode caches (``sys.flags.dont_write_bytecode``, set by
+PYTHONDONTWRITEBYTECODE or ``-B``; when it is set, every child compiles
+nsg's source again):
 
-    nsg --help: wall 0.160 s, cpu 0.158 s, peak RSS 30.1 MiB, threads 1
+    nsg --help: wall 0.160 s, cpu 0.158 s, peak RSS 30.1 MiB, threads 1, dont_write_bytecode 1
+
+``import numpy, click, orjson`` pins OpenBLAS to one thread, as ``import
+nsg`` does, so its gap to ``import nsg.cli`` is nsg's own import cost:
+compiling its source when no bytecode cache is written, and running its
+modules.
 
 ``nsg --help, no teardown`` runs the same command, then flushes stdout and
 stderr and leaves through ``os._exit``: no atexit handler, no module
@@ -37,8 +45,9 @@ import time
 from pathlib import Path
 
 # the hook's line is the child's last on stderr: the threads still running
-# once the command is done
-HOOK = "import atexit, os, sys; atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+# once the command is done, and whether it writes no bytecode caches
+REPORT = "print(len(os.listdir('/proc/self/task')), int(sys.flags.dont_write_bytecode), file=sys.stderr)"
+HOOK = f"import atexit, os, sys; atexit.register(lambda: {REPORT})\n"
 NSG = "import runpy, sys; sys.argv[1:] = {!r}; runpy.run_module('nsg.cli', run_name='__main__', alter_sys=True)"
 # prints the hook's line itself, as os._exit skips the hook
 NO_TEARDOWN = """status = 0
@@ -46,16 +55,21 @@ try:
     {}
 except SystemExit as exc:
     status = exc.code or 0
-print(len(os.listdir('/proc/self/task')), file=sys.stderr)
+{}
 sys.stdout.flush()
 sys.stderr.flush()
 os._exit(status)
 """
+# what nsg/__init__.py does before it imports numpy
+PIN_OPENBLAS = """if not {'OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS'} & os.environ.keys():
+    os.environ['OPENBLAS_NUM_THREADS'] = '1'"""
 COMMANDS = {
     "python -c pass": "pass",
     "import numpy": "import numpy",
+    "import numpy, click, orjson": f"{PIN_OPENBLAS}\nimport numpy, click, orjson",
+    "import nsg.cli": "import nsg.cli",
     "nsg --help": NSG.format(["--help"]),
-    "nsg --help, no teardown": NO_TEARDOWN.format(NSG.format(["--help"])),
+    "nsg --help, no teardown": NO_TEARDOWN.format(NSG.format(["--help"]), REPORT),
     "nsg hunt --max-genus 14": NSG.format(["hunt", "--max-genus", "14"]),
 }
 
@@ -75,7 +89,8 @@ def measure(src: Path, code: str) -> dict:
         "wall_s": wall,
         "cpu_s": usage.ru_utime + usage.ru_stime,
         "peak_rss_mib": usage.ru_maxrss / 1024,
-        "threads": int(err.split()[-1]),
+        "threads": int(err.split()[-2]),
+        "dont_write_bytecode": int(err.split()[-1]),
     }
 
 
@@ -99,7 +114,8 @@ def main(argv: list[str]) -> None:
         if not args.json:
             print(
                 f"{name}: wall {row['wall_s']:.3f} s, cpu {row['cpu_s']:.3f} s, "
-                f"peak RSS {row['peak_rss_mib']:.1f} MiB, threads {row['threads']:g}",
+                f"peak RSS {row['peak_rss_mib']:.1f} MiB, threads {row['threads']:g}, "
+                f"dont_write_bytecode {row['dont_write_bytecode']:g}",
                 flush=True,
             )
     if args.json:
