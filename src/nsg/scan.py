@@ -2,9 +2,11 @@
 
 Every scan record is a pure function of its instance parameters, so worker
 pools never affect content.  Scans and the hunt stream their records into
-one writer, ``write_jsonl``, which keeps at most ``_RUN_LINES`` encoded
-records in memory and writes them in one order, by id and then by canonical
-JSON (``_keyed``); the timestamp comes from SOURCE_DATE_EPOCH (default 0),
+one writer, ``write_jsonl``, which writes them in one order, by id and then
+by canonical JSON (``_keyed``).  It keeps at most ``_RUN_LINES`` encoded
+records in memory, spills the rest to at most 16 temporary files, one per
+first hex digit of the id, and at the end holds one of those buckets, about
+1/16 of the output.  The timestamp comes from SOURCE_DATE_EPOCH (default 0),
 which keeps repeated runs byte-identical.
 """
 
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import heapq
 import itertools
 import math
 import os
@@ -417,13 +418,9 @@ def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[
     return sum(histogram.values()), findings, dict(sorted(histogram.items()))  # one slack per record
 
 
-# Lines per sorted run of ``write_jsonl``: it holds at most this many
-# encoded records in memory and spills each full run to a temporary file.
+# Keyed lines that ``write_jsonl`` holds in memory; each full buffer is
+# spilled to the temporary files of the lines' first id digits.
 _RUN_LINES = 1024
-
-# Spilled runs of one size that ``write_jsonl`` merges into one bigger run,
-# so a long write keeps few temporary files open.
-_MERGE_RUNS = 128
 
 
 def _keyed(record: dict) -> str:
@@ -436,33 +433,33 @@ def _keyed(record: dict) -> str:
 def write_jsonl(path: str, keyed_lines: Iterable[str]) -> None:
     """Append ``_keyed`` lines to ``path`` in sorted order, without their keys.
 
-    Every ``_RUN_LINES`` lines are sorted and spilled to an anonymous
-    temporary file (in TMPDIR), and every ``_MERGE_RUNS`` spilled runs of one
-    size are merged into one.  The spilled runs and the last lines, still in
-    memory, are merged into ``path``, which is opened only then; a write that
-    fits in one run opens no temporary file.
+    At most ``_RUN_LINES`` lines wait in memory.  A full buffer is spilled
+    line by line to one of 16 anonymous temporary files (in TMPDIR), chosen
+    by the first hex digit of the id and opened on its first line; a line's
+    first character thus names the bucket of its sort key.  ``path`` is
+    opened only at the end, and each bucket in digit order is read, sorted
+    in memory and appended, so the end holds one bucket (about 1/16 of the
+    output).  A write that fits in one buffer opens no temporary file.
     """
     with contextlib.ExitStack() as stack:
+        buckets: dict[str, IO[str]] = {}
 
-        def spill(lines: Iterable[str]) -> IO[str]:
-            run = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
-            run.writelines(lines)
-            run.seek(0)
-            return run
+        def spill(lines: list[str]) -> None:
+            for line in lines:
+                if line[0] not in buckets:
+                    buckets[line[0]] = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                buckets[line[0]].write(line)
+            lines.clear()
 
-        runs: list[tuple[int, IO[str]]] = []  # (merge depth, file); depths never rise along the list
         lines: list[str] = []
         for line in keyed_lines:
             if len(lines) == _RUN_LINES:
-                lines.sort()
-                runs.append((0, spill(lines)))
-                lines.clear()
-                while len(runs) >= _MERGE_RUNS and runs[-_MERGE_RUNS][0] == runs[-1][0]:
-                    depth, merging = runs[-1][0], [run for _, run in runs[-_MERGE_RUNS:]]
-                    runs[-_MERGE_RUNS:] = [(depth + 1, spill(heapq.merge(*merging)))]
-                    for run in merging:
-                        run.close()
+                spill(lines)
             lines.append(line)
-        lines.sort()
+        if buckets:
+            spill(lines)
         with open(path, "a", encoding="utf-8") as fh:
-            fh.writelines(line[17:] for line in heapq.merge(*(run for _, run in runs), lines))
+            fh.writelines(line[17:] for line in sorted(lines))  # empty once anything was spilled
+            for _, bucket in sorted(buckets.items()):
+                bucket.seek(0)
+                fh.writelines(line[17:] for line in sorted(bucket))

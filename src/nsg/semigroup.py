@@ -109,10 +109,14 @@ class NumericalSemigroup:
         if m > SIZE_LIMIT:
             raise InputTooLarge(f"multiplicity {m} exceeds the size limit {SIZE_LIMIT}")
         self.multiplicity: int = m
-        self.apery, self.generators = _apery_table(gens)
-        self.frobenius: int = max(self.apery) - m
-        if self.frobenius > SIZE_LIMIT:
-            raise InputTooLarge(f"Frobenius number {self.frobenius} exceeds the size limit {SIZE_LIMIT}")
+        # two coprime generators a < b have F = ab - a - b (Sylvester), known before the table
+        f = m * gens[1] - m - gens[1] if len(gens) == 2 else 0
+        if f <= SIZE_LIMIT:
+            self.apery, self.generators = _apery_table(gens)
+            f = max(self.apery) - m
+        if f > SIZE_LIMIT:
+            raise InputTooLarge(f"Frobenius number {f} exceeds the size limit {SIZE_LIMIT}")
+        self.frobenius: int = f
         # the minimal generators are a subset of the sorted distinct input
         self.was_reduced: bool = len(self.generators) != len(raw)
 

@@ -4,6 +4,7 @@ import math
 
 from hypothesis import strategies as st
 
+from nsg.scan import canonical_json
 from nsg.semigroup import new_semigroup
 
 
@@ -32,3 +33,13 @@ def json_values():
         return st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(text, inner, max_size=4)
 
     return st.recursive(leaves, nested, max_leaves=24)
+
+
+@st.composite
+def keyed_lines(draw, max_size=60):
+    """Lines shaped as ``scan._keyed`` makes them: a 16-hex-digit id, a space,
+    the canonical JSON of a value and a newline.  The ids come from a small
+    drawn pool, so lines repeat whole ids with different JSON."""
+    ids = draw(st.lists(st.text("0123456789abcdef", min_size=16, max_size=16), min_size=1, max_size=8))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), json_values()), max_size=max_size))
+    return [f"{ident} {canonical_json(value)}\n" for ident, value in pairs]

@@ -9,6 +9,7 @@ import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -19,7 +20,7 @@ import nsg.scan as scan_mod
 import nsg.semigroup as semigroup_mod
 from nsg.cli import main
 from nsg.constructions import glue, lift
-from nsg.errors import InvalidSetting
+from nsg.errors import InputTooLarge, InvalidSetting
 from nsg.ideals import trace_and_residue
 from nsg.scan import (
     ScanSummary,
@@ -36,7 +37,7 @@ from nsg.scan import (
 from nsg.semigroup import new_semigroup
 
 from oracles import brute_pf, dp_membership, gap_sets_by_genus, replaced, tree_by_genus, window
-from strategies import semigroups
+from strategies import keyed_lines, semigroups
 
 
 @pytest.fixture
@@ -420,9 +421,8 @@ class TestHunt:
 
     def test_no_run_file_is_left(self, tmp_path, monkeypatch, run_dir):
         hunt(6, str(tmp_path / "hunt.jsonl"))
-        # a scan of 300 records in runs of 3 spills 99 runs and merges them
+        # a scan of 300 records in buffers of 3 spills 297 lines to the buckets
         monkeypatch.setattr(scan_mod, "_RUN_LINES", 3)
-        monkeypatch.setattr(scan_mod, "_MERGE_RUNS", 3)
         scan_family("random", seed=2, limit=300, max_multiplicity=3, out=str(tmp_path / "scan.jsonl"))
         assert list(run_dir.iterdir()) == []
 
@@ -446,6 +446,11 @@ def written(tmp_path, write) -> bytes:
     return out.read_bytes()
 
 
+def keyed(ident: str, value) -> str:
+    """A ``_keyed`` line with the given id."""
+    return f"{ident} {canonical_json(value)}\n"
+
+
 class TestSortedRuns:
     # max_multiplicity 3 draws one semigroup many times; in the lifting scan
     # one semigroup also comes from different bases, so one id has
@@ -456,43 +461,70 @@ class TestSortedRuns:
         "lifting": lambda out: scan_family("lifting", seed=2, limit=300, max_multiplicity=3, out=out),
     }
 
-    @pytest.mark.parametrize("merge_runs", [None, 3], ids=["spilled", "merged"])
+    @pytest.mark.parametrize("run_lines", [3], ids=["spilled"])
     @pytest.mark.parametrize("command, threads", [("hunt", "1"), ("scan", "1"), ("scan", "2"), ("lifting", "1")])
-    def test_runs_leave_the_bytes_unchanged(self, tmp_path, monkeypatch, command, threads, merge_runs):
+    def test_runs_leave_the_bytes_unchanged(self, tmp_path, monkeypatch, command, threads, run_lines):
         write = self.WRITES[command]
         expected = written(tmp_path, write)
         lines = expected.splitlines()
-        assert len(lines) > 100  # more than 33 runs of 3 lines
+        assert len(lines) > 100  # more than 33 buffers of 3 lines
         assert lines == sorted(lines, key=lambda line: (json.loads(line)["id"], line))
         if command == "lifting":
             assert len({json.loads(line)["id"] for line in lines}) < len(set(lines))
         monkeypatch.setenv("NSG_THREADS", threads)
-        monkeypatch.setattr(scan_mod, "_RUN_LINES", 3)
-        if merge_runs is not None:
-            monkeypatch.setattr(scan_mod, "_MERGE_RUNS", merge_runs)
+        monkeypatch.setattr(scan_mod, "_RUN_LINES", run_lines)
         assert written(tmp_path, write) == expected
 
-    def test_merges_bound_the_open_runs(self, tmp_path, monkeypatch):
-        # 155 lines in runs of 3 are 51 runs, merged 3 at a time into 17
-        # runs of 9 lines, 5 of 27 and 1 of 81; besides the 3 runs being
-        # merged and the run they go into, at most 2 runs of each larger
-        # size stay open, where the 51 runs alone would hold 51 files
+    def test_buckets_bound_the_open_files(self, tmp_path, monkeypatch):
+        # 155 lines in buffers of 3 spill 153 lines, one temporary file per
+        # first id digit: at most 16 files, each opened once, where spilling
+        # each buffer as its own run would open 51
         real = tempfile.TemporaryFile
-        opened, peak = [], 0
+        opened = []
 
         def counting(*args, **kwargs):
-            nonlocal peak
             opened.append(real(*args, **kwargs))
-            peak = max(peak, sum(not f.closed for f in opened))
             return opened[-1]
 
         monkeypatch.setattr(scan_mod, "_RUN_LINES", 3)
-        monkeypatch.setattr(scan_mod, "_MERGE_RUNS", 3)
         monkeypatch.setattr(tempfile, "TemporaryFile", counting)
         hunt(8, str(tmp_path / "hunt.jsonl"))
-        assert len(opened) == 51 + 17 + 5 + 1
-        assert peak <= 3 + 1 + 2 * 3
+        ids = [json.loads(line)["id"] for line in (tmp_path / "hunt.jsonl").read_text().splitlines()]
+        assert len(opened) == len({i[0] for i in ids}) == 16
         assert all(f.closed for f in opened)
+
+    # every id of the first starts with 7, so one bucket takes every spilled
+    # line; the second repeats 48 ids with different JSON
+    SYNTHETIC = {
+        "one-digit": [keyed("7" + record_id([n])[1:], {"n": n}) for n in random.Random(1).sample(range(10**6), 100)],
+        "repeated-ids": [keyed(record_id([n % 48]), {"n": n}) for n in random.Random(2).sample(range(300), 300)],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("run_lines", [1, 3, 1024])
+    @pytest.mark.parametrize("case", SYNTHETIC)
+    def test_writer_appends_sorted_lines_without_keys(self, tmp_path, monkeypatch, run_dir, case, run_lines):
+        lines = self.SYNTHETIC[case]
+        monkeypatch.setattr(scan_mod, "_RUN_LINES", run_lines)
+        out = tmp_path / "out.jsonl"
+        out.write_text("kept\n")
+        scan_mod.write_jsonl(str(out), iter(lines))
+        assert out.read_text() == "kept\n" + "".join(line[17:] for line in sorted(lines))
+        assert list(run_dir.iterdir()) == []
+
+    def test_empty_write_creates_the_file(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        scan_mod.write_jsonl(str(out), iter([]))
+        assert out.read_bytes() == b""
+
+    @settings(max_examples=60, deadline=None)
+    @given(keyed_lines())
+    def test_writer_sorts_drawn_lines(self, lines):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scan_mod, "_RUN_LINES", 3):
+            out = Path(tmp) / "out.jsonl"
+            out.write_text("kept\n")
+            scan_mod.write_jsonl(str(out), iter(lines))
+            assert out.read_text() == "kept\n" + "".join(line[17:] for line in sorted(lines))
 
     def test_one_run_opens_no_file(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -506,7 +538,7 @@ class TestSortedRuns:
         built = []
 
         def failing_worker(args):
-            if len(built) == 20:  # after six runs of 3 were spilled
+            if len(built) == 20:  # after six buffers of 3 were spilled
                 raise RuntimeError("worker failed")
             built.append(args)
             return random_worker(args)
@@ -524,7 +556,9 @@ class TestSortedRuns:
         out = tmp_path / "scan.jsonl"
         with pytest.raises(RuntimeError, match="worker failed"):
             scan_family("random", seed=0, limit=50, max_multiplicity=8, out=str(out))
-        assert len(spilled) == 6 and all(f.closed for f in spilled)
+        # one bucket per first id digit of the 18 spilled lines
+        assert len(spilled) == len({record_id(s.generators)[0] for s, _ in built[:18]}) == 10
+        assert all(f.closed for f in spilled)
         assert list(run_dir.iterdir()) == []
         assert not out.exists()
 
@@ -560,6 +594,20 @@ class TestCli:
         assert result.exit_code == 2
         assert result.output.splitlines()[-1] == (
             "Error: Frobenius number 20010000120059 exceeds the size limit 10000000"
+        )
+
+    def test_info_two_generator_frobenius_refused_before_the_table(self, runner, monkeypatch):
+        # F = ab - a - b for two coprime generators, so no table is needed
+        def refuse(gens):
+            raise AssertionError("the Apery table must not be built")
+
+        monkeypatch.setattr(semigroup_mod, "_apery_table", refuse)
+        with pytest.raises(InputTooLarge, match="Frobenius number 99999810000089 exceeds"):
+            new_semigroup([9999992, 9999991])
+        result = runner.invoke(main, ["info", "9999991,9999992"])
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            "Error: Frobenius number 99999810000089 exceeds the size limit 10000000"
         )
 
     def test_info_parse_error(self, runner):

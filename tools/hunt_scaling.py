@@ -19,7 +19,8 @@ with that wall time and its share of the hunt's:
 
     genus 20: 93141 records, wall 4.90 s, cpu 4.85 s, peak RSS 80.1 MiB, tree 0.09 s (1.8% of hunt)
 
-``--json`` prints one JSON list of the per-genus results instead.  Point
+``--json`` prints one JSON list of the per-genus results instead, each
+with the sha256 of the written file.  Point
 ``--src`` at another checkout's ``src`` to compare two commits; a checkout
 whose ``hunt`` returns its records instead (one with no ``out`` argument)
 is measured by that checkout's own copy of this script.
@@ -37,7 +38,7 @@ from pathlib import Path
 DEFAULT_GENERA = (14, 18, 20)
 
 CHILD = """
-import json, os, resource, sys, tempfile, time
+import hashlib, json, os, resource, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
 from nsg import enumeration
 from nsg.scan import hunt
@@ -48,9 +49,13 @@ with tempfile.TemporaryDirectory() as tmp:
     hunt(genus, out)
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    digest, records = hashlib.sha256(), 0
     with open(out, "rb") as fh:
-        records = sum(1 for _ in fh)
+        for line in fh:
+            digest.update(line)
+            records += 1
 row = {"genus": genus, "records": records, "wall_s": wall, "cpu_s": cpu, "peak_rss_mib": peak}
+row["sha256"] = digest.hexdigest()
 if tree:
     start = time.perf_counter()
     walk = getattr(enumeration, "_walk", None) or getattr(enumeration, "_levels", None) or enumeration.by_genus
