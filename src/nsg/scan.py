@@ -5,21 +5,22 @@ pools never affect content.  Scans and the hunt stream their records into
 one writer, ``write_jsonl``, which writes them in one order, by id and then
 by canonical JSON (``_keyed``).  It keeps at most ``_RUN_LINES`` encoded
 records in memory, spills the rest to at most 16 temporary files, one per
-first hex digit of the id, and at the end holds one of those buckets, about
-1/16 of the output.  The timestamp comes from SOURCE_DATE_EPOCH (default 0),
+first hex digit of the id, and at the end sorts one of those buckets in
+memory, split again by the next digits while it is larger than
+``_HELD_BYTES``.  The timestamp comes from SOURCE_DATE_EPOCH (default 0),
 which keeps repeated runs byte-identical.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
 import math
 import os
 import random
 import tempfile
 from collections import Counter, deque
+from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,6 +41,11 @@ from .errors import GluingError, InvalidSetting
 from .ideals import TraceReport, classification, gap_bound_check, trace_and_residue, trace_columns  # noqa: F401
 from .semigroup import NumericalSemigroup, _Value, _members, _row, _sorted_rows, new_semigroup
 from .toric import acm_and_hypothesis
+
+try:  # CPython's built-in SHA-256; hashlib would load OpenSSL into every process
+    from _sha256 import sha256
+except ImportError:  # renamed in Python 3.12, or left out of the build
+    from hashlib import sha256
 
 # Instance count of a random, gluing or lifting scan when no limit is given.
 DEFAULT_LIMIT = 100
@@ -86,8 +92,7 @@ def _fits_json(value: int) -> bool:
 
 def record_id(generators: Sequence[int]) -> str:
     """Stable id: hash of the sorted generator list."""
-    key = ",".join(str(g) for g in sorted(generators))
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
+    return sha256(",".join(map(str, sorted(generators))).encode()).hexdigest()[:16]
 
 
 def _setting(name: str, default: int, accepts: Callable[[int], bool], expected: str) -> int:
@@ -422,6 +427,10 @@ def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[
 # spilled to the temporary files of the lines' first id digits.
 _RUN_LINES = 1024
 
+# Largest temporary file, in bytes, whose lines ``write_jsonl`` sorts in
+# memory; a larger one is split again by the next id digit.
+_HELD_BYTES = 1 << 24
+
 
 def _keyed(record: dict) -> str:
     """The JSONL line of ``record`` behind its 16-hex-digit id and a space.
@@ -434,32 +443,57 @@ def write_jsonl(path: str, keyed_lines: Iterable[str]) -> None:
     """Append ``_keyed`` lines to ``path`` in sorted order, without their keys.
 
     At most ``_RUN_LINES`` lines wait in memory.  A full buffer is spilled
-    line by line to one of 16 anonymous temporary files (in TMPDIR), chosen
-    by the first hex digit of the id and opened on its first line; a line's
-    first character thus names the bucket of its sort key.  ``path`` is
-    opened only at the end, and each bucket in digit order is read, sorted
-    in memory and appended, so the end holds one bucket (about 1/16 of the
-    output).  A write that fits in one buffer opens no temporary file.
+    to 16 anonymous temporary files (in TMPDIR), each line to the one of the
+    first hex digit of its id; a line's first character thus names the
+    bucket of its sort key.  ``path`` is opened only at the end, and each
+    bucket in digit order is sorted and appended by ``_append_sorted``, so
+    the end holds at most ``_HELD_BYTES`` of lines, or the lines of one id.
+    A write that fits in one buffer opens no temporary file.
     """
     with contextlib.ExitStack() as stack:
         buckets: dict[str, IO[str]] = {}
-
-        def spill(lines: list[str]) -> None:
-            for line in lines:
-                if line[0] not in buckets:
-                    buckets[line[0]] = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
-                buckets[line[0]].write(line)
-            lines.clear()
-
         lines: list[str] = []
         for line in keyed_lines:
             if len(lines) == _RUN_LINES:
-                spill(lines)
+                _spill(lines, 0, buckets, stack)
+                lines.clear()
             lines.append(line)
         if buckets:
-            spill(lines)
+            _spill(lines, 0, buckets, stack)
+            lines.clear()
         with open(path, "a", encoding="utf-8") as fh:
             fh.writelines(line[17:] for line in sorted(lines))  # empty once anything was spilled
             for _, bucket in sorted(buckets.items()):
-                bucket.seek(0)
-                fh.writelines(line[17:] for line in sorted(bucket))
+                _append_sorted(fh, bucket, 1)
+
+
+def _spill(lines: list[str], depth: int, parts: dict[str, IO[str]], stack: contextlib.ExitStack) -> None:
+    """Sort ``lines`` in place and append them to the temporary files in
+    ``parts`` by their id digit at index ``depth``, one write per file; a
+    file is opened on ``stack`` on its first line."""
+    lines.sort()
+    for digit, group in itertools.groupby(lines, key=itemgetter(depth)):
+        if digit not in parts:
+            parts[digit] = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+        parts[digit].write("".join(group))
+
+
+def _append_sorted(fh: IO[str], bucket: IO[str], depth: int) -> None:
+    """Append the lines of the temporary file ``bucket``, whose ids share
+    their first ``depth`` digits, to ``fh`` in sorted order without their
+    keys.  A bucket of at most ``_HELD_BYTES`` bytes is sorted in memory.  A
+    larger one is read ``_RUN_LINES`` lines at a time and split by the id
+    digit at ``depth`` into temporary files, which go the same way in digit
+    order and are closed on return.  At depth 16 every id is the same, so
+    the lines of one id are sorted in memory whatever their size."""
+    size = bucket.tell()
+    bucket.seek(0)
+    if size <= _HELD_BYTES or depth == 16:
+        fh.writelines(line[17:] for line in sorted(bucket))
+        return
+    with contextlib.ExitStack() as stack:
+        parts: dict[str, IO[str]] = {}
+        for lines in iter(lambda: list(itertools.islice(bucket, _RUN_LINES)), []):
+            _spill(lines, depth, parts, stack)
+        for _, part in sorted(parts.items()):
+            _append_sorted(fh, part, depth + 1)

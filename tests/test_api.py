@@ -2,15 +2,20 @@
 modules' own lists joined, every function the benchmark's spans wrap is
 still a function of its module, so a deletion that would break ``pytest
 bench`` fails here too, no other module reaches into the private helpers of
-``nsg.ideals``, one function reads the environment settings, and no module
-imports ``dataclasses``."""
+``nsg.ideals``, one function reads the environment settings, no module
+imports ``dataclasses``, and the command line loads no OpenSSL."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nsg
 
@@ -91,3 +96,13 @@ def test_no_module_imports_dataclasses():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
                 imports.append(f"{path.name}: from {node.module}")
     assert imports == []
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None, reason="no built-in _sha256 module")
+def test_cli_import_loads_no_openssl():
+    # record ids use the built-in SHA-256; hashlib would load OpenSSL
+    # through _hashlib into every nsg process
+    code = "import sys, nsg.cli; print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(Path(nsg.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout == "[]\n"

@@ -14,6 +14,7 @@ from unittest import mock
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nsg.cli as cli_mod
 import nsg.scan as scan_mod
@@ -49,6 +50,16 @@ class TestRecordBasics:
     def test_record_id_is_order_insensitive(self):
         assert record_id([7, 3, 5]) == record_id([3, 5, 7])
         assert record_id([3, 5, 7]) != record_id([2, 3])
+
+    def test_record_id_pinned(self):
+        assert record_id([3, 5, 7]) == "6661ae91f8bc6666"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64), max_size=12))
+    def test_record_id_matches_hashlib(self, generators):
+        # hashlib is the oracle of the built-in SHA-256 that record_id uses
+        key = ",".join(map(str, sorted(generators)))
+        assert record_id(generators) == hashlib.sha256(key.encode()).hexdigest()[:16]
 
     def test_info_payload_round_trip(self):
         s = new_semigroup([3, 5, 7])
@@ -518,13 +529,64 @@ class TestSortedRuns:
         assert out.read_bytes() == b""
 
     @settings(max_examples=60, deadline=None)
-    @given(keyed_lines())
-    def test_writer_sorts_drawn_lines(self, lines):
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scan_mod, "_RUN_LINES", 3):
+    @given(keyed_lines(), st.integers(0, 400) | st.just(scan_mod._HELD_BYTES))
+    def test_writer_sorts_drawn_lines(self, lines, held):
+        # a small held size splits the buckets, down to one id's lines
+        patches = mock.patch.object(scan_mod, "_RUN_LINES", 3), mock.patch.object(scan_mod, "_HELD_BYTES", held)
+        with tempfile.TemporaryDirectory() as tmp, patches[0], patches[1]:
             out = Path(tmp) / "out.jsonl"
             out.write_text("kept\n")
             scan_mod.write_jsonl(str(out), iter(lines))
             assert out.read_text() == "kept\n" + "".join(line[17:] for line in sorted(lines))
+
+    # 2000 distinct ids (3.2-4.2 kB of lines per first digit, at most 508 B
+    # per two digits and 149 B per three), and 3 ids repeated 40 times with
+    # different JSON
+    SPLITS = {
+        "distinct": [keyed(record_id([n]), {"n": n}) for n in random.Random(3).sample(range(10**6), 2000)],
+        "repeated": [keyed(record_id([n % 3]), {"n": n}) for n in random.Random(4).sample(range(120), 120)],
+    }
+
+    @pytest.mark.parametrize(
+        "case, held, split_depths",
+        [("distinct", 1500, {1}), ("distinct", 200, {1, 2}), ("repeated", 0, set(range(1, 16)))],
+        ids=["depth-1", "depth-2", "depth-16"],
+    )
+    def test_large_buckets_are_split(self, tmp_path, monkeypatch, run_dir, case, held, split_depths):
+        # a bucket above _HELD_BYTES is split by the next id digit, down to
+        # the 16th, where one id's lines are sorted in memory
+        lines = self.SPLITS[case]
+        monkeypatch.setattr(scan_mod, "_RUN_LINES", 3)
+        expected = written(tmp_path, lambda out: scan_mod.write_jsonl(out, iter(lines)))
+        assert expected.decode() == "".join(line[17:] for line in sorted(lines))
+        spill, depths, opened = scan_mod._spill, set(), []
+        real = tempfile.TemporaryFile
+
+        def recording(lines, depth, parts, stack):
+            depths.add(depth)
+            spill(lines, depth, parts, stack)
+
+        def counting(*args, **kwargs):
+            opened.append(real(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(scan_mod, "_spill", recording)
+        monkeypatch.setattr(tempfile, "TemporaryFile", counting)
+        monkeypatch.setattr(scan_mod, "_HELD_BYTES", held)
+        assert written(tmp_path, lambda out: scan_mod.write_jsonl(out, iter(lines))) == expected
+        assert depths == {0} | split_depths
+        assert all(f.closed for f in opened)
+        assert list(run_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["hunt", "lifting"])
+    def test_split_buckets_leave_the_bytes_unchanged(self, tmp_path, monkeypatch, command):
+        # hunt(8)'s buckets split at depths 1 and 2; the lifting scan's
+        # repeated ids split down to depth 15
+        write = self.WRITES[command]
+        expected = written(tmp_path, write)
+        monkeypatch.setattr(scan_mod, "_RUN_LINES", 3)
+        monkeypatch.setattr(scan_mod, "_HELD_BYTES", 1000)
+        assert written(tmp_path, write) == expected
 
     def test_one_run_opens_no_file(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

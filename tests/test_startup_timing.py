@@ -3,6 +3,7 @@ interpreters that import ``nsg`` from the ``src`` beside it, so a renamed
 entry point or a broken exit path shows here rather than in a later
 measurement."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -28,6 +29,12 @@ def test_one_round_reports_every_command():
         "nsg --help, no teardown",
         "nsg hunt --max-genus 14",
     ]
+    # the modules import nsg.cli adds name the next heavy import
+    added = rows[3]["added_modules"]
+    assert {"nsg", "nsg.cli", "nsg.scan"} <= set(added) and added == sorted(added)
+    assert "numpy" not in added and "click" not in added
+    if importlib.util.find_spec("_sha256") is not None:
+        assert "_hashlib" not in added and "hashlib" not in added
     for row in rows:
         assert row["rounds"] == 1
         assert row["wall_s"] > 0 and row["cpu_s"] >= 0 and row["peak_rss_mib"] > 0

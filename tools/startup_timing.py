@@ -16,19 +16,23 @@ the child writes bytecode caches (``sys.flags.dont_write_bytecode``, set by
 PYTHONDONTWRITEBYTECODE or ``-B``; when it is set, every child compiles
 nsg's source again):
 
-    nsg --help: wall 0.160 s, cpu 0.158 s, peak RSS 30.1 MiB, threads 1, dont_write_bytecode 1
+    nsg --help: wall 0.146 s, cpu 0.146 s, peak RSS 30.3 MiB, threads 1, dont_write_bytecode 1
 
 ``import numpy, click, orjson`` pins OpenBLAS to one thread, as ``import
 nsg`` does, so its gap to ``import nsg.cli`` is nsg's own import cost:
 compiling its source when no bytecode cache is written, and running its
-modules.
+modules.  One more child, run once, lists the modules that ``import
+nsg.cli`` adds to those, so a new heavy import shows up by name:
+
+    import nsg.cli adds: _heapq, _locale, _sha256, gc, heapq, locale, nsg, nsg.cli, ...
 
 ``nsg --help, no teardown`` runs the same command, then flushes stdout and
 stderr and leaves through ``os._exit``: no atexit handler, no module
 teardown and no shutdown collection.  Its gap to ``nsg --help`` is the exit
 cost the command still pays.
 
-``--json`` prints one JSON list of the per-command medians instead.  Point
+``--json`` prints one JSON list of the per-command medians instead; the
+``import nsg.cli`` row lists the added modules under ``added_modules``.  Point
 ``--src`` at another checkout's ``src`` to compare two commits.  The thread
 count needs Linux's ``/proc``.
 """
@@ -72,10 +76,29 @@ COMMANDS = {
     "nsg --help, no teardown": NO_TEARDOWN.format(NSG.format(["--help"]), REPORT),
     "nsg hunt --max-genus 14": NSG.format(["hunt", "--max-genus", "14"]),
 }
+# prints the modules that import nsg.cli adds to those of numpy, click and orjson
+ADDED = f"""import os, sys
+{PIN_OPENBLAS}
+import numpy, click, orjson
+before = set(sys.modules)
+import nsg.cli
+print(*sorted(sys.modules.keys() - before))
+"""
+
+
+def child_env(src: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(src), "SOURCE_DATE_EPOCH": "0", "NSG_THREADS": "1"}
+
+
+def added_modules(src: Path) -> list[str]:
+    """The modules that ``import nsg.cli`` adds to ``import numpy, click,
+    orjson``, sorted by name."""
+    argv = [sys.executable, "-c", ADDED]
+    return subprocess.run(argv, env=child_env(src), capture_output=True, text=True, check=True).stdout.split()
 
 
 def measure(src: Path, code: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src), "SOURCE_DATE_EPOCH": "0", "NSG_THREADS": "1"}
+    env = child_env(src)
     start = time.perf_counter()
     child = subprocess.Popen([sys.executable, "-c", HOOK + code], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     with child.stderr:
@@ -106,10 +129,13 @@ def main(argv: list[str]) -> None:
     for _ in range(args.rounds):
         for name, code in COMMANDS.items():
             samples[name].append(measure(args.src.resolve(), code))
+    added = added_modules(args.src.resolve())
     results = []
     for name, rows in samples.items():
         row = {"command": name, "rounds": args.rounds}
         row.update({key: statistics.median(r[key] for r in rows) for key in rows[0]})
+        if name == "import nsg.cli":
+            row["added_modules"] = added
         results.append(row)
         if not args.json:
             print(
@@ -118,6 +144,8 @@ def main(argv: list[str]) -> None:
                 f"dont_write_bytecode {row['dont_write_bytecode']:g}",
                 flush=True,
             )
+            if name == "import nsg.cli":
+                print(f"import nsg.cli adds: {', '.join(added)}", flush=True)
     if args.json:
         print(json.dumps(results))
 
