@@ -18,11 +18,14 @@ cost whatever F is:
   a + J[(c - a) mod m].
 
 The head (the elements below the conductor), an O(F) list, is computed
-only when it is read.  ``trace_columns`` takes the Apery matrix of many
-semigroups of one multiplicity and runs each step of the trace on all its
-rows; ``trace_and_residue`` is its one-row call, wrapped into a
-``TraceReport``, and ``nsg hunt`` passes the columns of each
-(genus, multiplicity) block of the genus tree straight to its payloads.
+only when it is read.  The trace of many semigroups of one multiplicity
+runs in two stages on their Apery matrix: ``trace_columns``, the array
+stage, gives the trace class minima and, per row, the residue, the genus,
+F and the slack; ``trace_lists``, the list stage, gives the
+sorted pseudo-Frobenius numbers and trace minimal generators of the rows
+it is given.  ``trace_and_residue`` is both stages on one row, wrapped into
+a ``TraceReport``; ``nsg hunt`` runs the array stage on batches of the
+genus tree and the list stage only on the rows that become records.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "minimal_generators",
     "trace_and_residue",
     "trace_columns",
+    "trace_lists",
     "classification",
     "gap_bound_check",
 ]
@@ -248,51 +252,71 @@ def minimal_generators(ideal: RelativeIdeal) -> tuple[int, ...]:
 
 
 def trace_and_residue(s: NumericalSemigroup) -> TraceReport:
-    """Canonical trace ideal, residue, and genus: ``trace_columns`` on the
-    one row of ``s``."""
-    trace, (tg,), (pf,), (residue,), (genus,) = trace_columns(s.multiplicity, _row(s.apery), np.array([s.generators]))
-    return TraceReport(_ideal(s, trace[0].tolist()), tuple(tg), tuple(pf), residue, genus)
+    """Canonical trace ideal, residue, and genus: both stages of the trace,
+    ``trace_columns`` and ``trace_lists``, on the one row of ``s``."""
+    m, apery, gens = s.multiplicity, _row(s.apery), np.array([s.generators])
+    trace, maximal, residue, genus, _, _ = trace_columns(m, apery, gens)
+    (tg,), (pf,) = trace_lists(m, apery, gens, trace, maximal)
+    return TraceReport(_ideal(s, trace[0].tolist()), tuple(tg), tuple(pf), residue[0], genus[0])
 
 
 def trace_columns(
     m: int, apery: np.ndarray, gens: np.ndarray
-) -> tuple[np.ndarray, list[list[int]], list[list[int]], list[int], list[int]]:
-    """The canonical trace of the semigroups of multiplicity m whose Apery
-    sets, indexed by residue, are the rows of the integer matrix ``apery``
-    and whose minimal generators are the matching rows of the integer
-    matrix ``gens`` (padded with m), as columns: the (rows x m) trace
-    class-minimum matrix, and per row the sorted minimal generators of the
-    trace, the sorted pseudo-Frobenius numbers, the residue and the genus.
+) -> tuple[np.ndarray, np.ndarray, list[int], list[int], list[int], list[int]]:
+    """The array stage of the canonical trace of the semigroups of
+    multiplicity m whose Apery sets, indexed by residue, are the rows of the
+    integer matrix ``apery`` and whose minimal generators are the matching
+    rows of the integer matrix ``gens`` (padded with m): the (rows x m)
+    trace class-minimum matrix, the (rows x m) mask of the maximal Apery
+    elements (w - m over them are the pseudo-Frobenius numbers), and per row,
+    as lists of ints, the residue, the genus, F and the slack
+    (``classification``).
 
-    The trace is K + (S - K), all on class-minimum vectors, where K is
-    generated by F - x over the pseudo-Frobenius numbers x; each of
-    pseudo-Frobenius, dual, sum and minimal generators is one row fold.
-    The canonical generators are padded with F - F = 0, a canonical
-    generator of every row.  The residue counts the members below the
-    trace's class minima; genus comes from Selmer's formula (the sum of
-    Ap[c] // m), and the independent symmetry count 2 * genus == F + 1 is
-    cross-checked against residue zero on every row: disagreement means a
-    bug, not data.  The naturals, with the one maximal Apery element 0, get
-    the pseudo-Frobenius list [-1].
+    The trace is K + (S - K), all on class-minimum vectors, where K is the
+    canonical ideal.  Its class minima are F + m - Ap[c], and those at the
+    maximal Ap[c], F - x over the pseudo-Frobenius numbers x, generate it;
+    the classes maximal on no row are dropped, and any other class minimum
+    of K may stand beside the generators, since it changes neither the dual
+    nor the sum.  Each of maximal, dual and sum is one row fold.  The
+    residue counts the members below the trace's class minima; genus comes
+    from Selmer's formula (the sum of Ap[c] // m), and the independent
+    symmetry count 2 * genus == F + 1 is cross-checked against residue zero
+    on every row: disagreement means a bug, not data, and names the row's
+    semigroup.  These verdicts are Python ints, computed row by row from two
+    numpy row sums: as numpy arrays they would add about 14 numpy calls to
+    every one-row trace.  The naturals, with the one maximal Apery element
+    0, get F = -1.
     """
-    pfs = [[w - m for w in row] for row in _sorted_rows(apery, _maximal(apery, gens))]
-    depth = max(map(len, pfs))
-    # the largest pseudo-Frobenius number is F
-    kan_gens = np.array([[pf[-1] - x for x in pf] + [0] * (depth - len(pf)) for pf in pfs])
-    trace = _sum(kan_gens, _dual(apery, kan_gens))
+    maximal = _maximal(apery, gens)
+    top = apery.max(axis=1)  # F + m
+    kan = (top[:, None] - apery)[:, maximal.any(axis=0)]
+    trace = _sum(kan, _dual(apery, kan))
     # trace[c] and Ap[c] share the class c, so the members of class c below
     # the trace number (trace[c] - Ap[c]) / m; Selmer's sum of Ap[c] // m is
     # (sum of Ap[c] - m(m - 1)/2) / m
-    residues, genera = [], []
-    sums = zip(np.add.reduce(trace, axis=1).tolist(), np.add.reduce(apery, axis=1).tolist())
-    for j, (pf, (traced, total)) in enumerate(zip(pfs, sums)):
-        residue, genus = (traced - total) // m, (total - m * (m - 1) // 2) // m
-        if (2 * genus == pf[-1] + 1) != (residue == 0):
+    residues, genera, frobenii, slacks = [], [], [], []
+    sums = zip(np.add.reduce(trace, axis=1).tolist(), np.add.reduce(apery, axis=1).tolist(), top.tolist())
+    for j, (traced, total, highest) in enumerate(sums):
+        residue, genus, f = (traced - total) // m, (total - m * (m - 1) // 2) // m, highest - m
+        if (2 * genus == f + 1) != (residue == 0):
             s = f"NumericalSemigroup({sorted(set(gens[j].tolist()))})"
             raise AssertionError(f"symmetry test and residue disagree on {s}: genus {genus}, residue {residue}")
         residues.append(residue)
         genera.append(genus)
-    return trace, _sorted_rows(trace, _generator_mask(trace, gens)), pfs, residues, genera
+        frobenii.append(f)
+        slacks.append(2 * genus - f - 1 - residue)
+    return trace, maximal, residues, genera, frobenii, slacks
+
+
+def trace_lists(
+    m: int, apery: np.ndarray, gens: np.ndarray, trace: np.ndarray, maximal: np.ndarray
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The list stage of the canonical trace, for the rows of ``apery`` and
+    ``gens`` (as in ``trace_columns``) and their rows of its ``trace`` and
+    ``maximal``: per row, the sorted minimal generators of the trace and the
+    sorted pseudo-Frobenius numbers ([-1] for the naturals)."""
+    pfs = [[w - m for w in row] for row in _sorted_rows(apery, maximal)]
+    return _sorted_rows(trace, _generator_mask(trace, gens)), pfs
 
 
 def gap_bound_check(s: NumericalSemigroup) -> TraceReport:

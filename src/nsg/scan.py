@@ -1,9 +1,12 @@
 """Family scans, the gap-bound hunter, and JSONL persistence.
 
 Every scan record is a pure function of its instance parameters, so worker
-pools never affect content.  Scans and the hunt stream their records into
-one writer, ``write_jsonl``, which writes them in one order, by id and then
-by canonical JSON (``_keyed``).  It keeps at most ``_RUN_LINES`` encoded
+pools never affect content.  The hunt traces the genus tree in batches of
+at most ``_HUNT_ROWS`` rows, one array stage of the trace per batch, and
+builds lists, payloads and records only for the rows that become records.
+Scans and the hunt stream their records into one writer, ``write_jsonl``,
+which writes them in one order, by id and then by canonical JSON
+(``_keyed``).  It keeps at most ``_RUN_LINES`` encoded
 records in memory, spills the rest to at most 16 temporary files, one per
 first hex digit of the id, and at the end sorts one of those buckets in
 memory, split again by the next digits while it is larger than
@@ -38,7 +41,7 @@ from .constructions import (
     verify_construction,
 )
 from .errors import GluingError, InvalidSetting
-from .ideals import TraceReport, classification, gap_bound_check, trace_and_residue, trace_columns  # noqa: F401
+from .ideals import TraceReport, classification, gap_bound_check, trace_and_residue, trace_columns, trace_lists  # noqa: F401
 from .semigroup import NumericalSemigroup, _Value, _members, _row, _sorted_rows, new_semigroup
 from .toric import acm_and_hypothesis
 
@@ -143,7 +146,7 @@ def info_payload(s: NumericalSemigroup, toric: bool = False, report: TraceReport
     ``report`` when the trace of ``s`` is already computed.  The one-row
     case of ``_payloads``, plus the closure verdict when ``toric``."""
     r = report or trace_and_residue(s)
-    columns = np.array([r.trace.mins]), [list(r.trace_min_gens)], [list(r.pf)], [r.residue], [r.genus]
+    columns = np.array([r.trace.mins]), [list(r.trace_min_gens)], [list(r.pf)], [r.residue], [r.genus], [s.frobenius]
     payload = next(_payloads(s.multiplicity, _row(s.apery), [s.generators], columns))
     del payload["slack"]  # only hunt records carry it
     if toric:
@@ -156,19 +159,18 @@ def _payloads(m: int, apery: np.ndarray, generators: list[tuple[int, ...]], colu
     slack) of each semigroup of multiplicity m, from its Apery row, its
     minimal generators and its row of ``columns``: the trace class-minimum
     matrix, and per row the sorted trace minimal generators, the
-    pseudo-Frobenius numbers, the residue and the genus.  The verdicts come
-    from ``classification``.  Three ``_members`` calls list the gaps (from c
-    up to Ap[c]), the trace heads (from the trace minimum up to the
+    pseudo-Frobenius numbers, the residue, the genus and F.  The verdicts
+    come from ``classification``.  Three ``_members`` calls list the gaps
+    (from c up to Ap[c]), the trace heads (from the trace minimum up to the
     conductor) and the missing members (from Ap[c] up to the trace minimum)
     of all the rows."""
-    trace, trace_gens, pfs, residues, genera = columns
+    trace, trace_gens, pfs, residues, genera, frobenii = columns
     conductors = trace.max(axis=1, keepdims=True) - m + 1
     # Ap[c] is congruent to c, so apery % m holds each entry's class
     lists = _members(apery % m, apery), _members(trace, conductors), _members(apery, trace)
-    for gens, conductor, tg, pf, residue, genus, gaps, head, missing in zip(
-        generators, conductors[:, 0].tolist(), trace_gens, pfs, residues, genera, *lists
+    for gens, conductor, tg, pf, residue, genus, f, gaps, head, missing in zip(
+        generators, conductors[:, 0].tolist(), trace_gens, pfs, residues, genera, frobenii, *lists
     ):
-        f = pf[-1]  # the largest pseudo-Frobenius number, -1 for the naturals
         pf = [] if m == 1 else pf  # the naturals' pf (-1,) is not listed
         yield {
             "multiplicity": m,
@@ -382,45 +384,82 @@ def scan_family(
     return ScanSummary(*tally)
 
 
+# Most rows of one hunt batch: consecutive (genus, multiplicity) blocks of
+# one multiplicity are stacked up to this many rows for one array stage, so
+# the per-call cost of numpy is paid per batch, not per block.  A block
+# larger than this goes through alone.
+_HUNT_ROWS = 256
+
+
+def _hunt_batches(max_genus: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (Apery matrix, minimal-generator mask) blocks of
+    ``enumeration._walk`` up to ``max_genus``, consecutive blocks of one
+    multiplicity stacked into batches of at most ``_HUNT_ROWS`` rows."""
+    from .enumeration import _walk
+
+    held: list[tuple[np.ndarray, np.ndarray]] = []
+    rows = 0
+    for _, apery, mask in _walk(max_genus):
+        if held and (apery.shape[1] != held[0][0].shape[1] or rows + len(apery) > _HUNT_ROWS):
+            yield tuple(map(np.concatenate, zip(*held)))
+            held, rows = [], 0
+        held.append((apery, mask))
+        rows += len(apery)
+    if held:
+        yield tuple(map(np.concatenate, zip(*held)))
+
+
 def hunt(max_genus: int, out: str | None = None) -> tuple[int, list[dict], dict[int, int]]:
     """Enumerate the genus tree and look for residues above the gap bound.
 
     The tree draws nothing at random, so every record's seed is 0.  The
     tree comes from ``enumeration._walk`` one (genus, multiplicity) block at
-    a time, an Apery matrix and a minimal-generator mask, which goes
-    through one ``trace_columns`` call; ``_payloads`` then yields the
-    block's payloads one at a time, and no semigroup or trace object is
-    built.  The records form one stream, of which only the violating
-    records are kept.  With ``out``, each record is encoded as soon as it
-    is built and goes to ``write_jsonl``, which appends them to ``out`` in
-    record order; without it, the stream is drained and no record is
-    encoded.  Returns (records checked, violating records in record order,
-    slack histogram).
+    a time, an Apery matrix and a minimal-generator mask; consecutive blocks
+    of one multiplicity are stacked into batches of at most ``_HUNT_ROWS``
+    rows (``_hunt_batches``).  Each batch goes through the array stage of
+    the trace (``trace_columns``) at once, and the slack histogram is
+    counted from its slack column.  Only the rows that become records go on
+    to the list stage (``trace_lists``, then ``_payloads``, which yields
+    their payloads one at a time, and ``build_record``): with ``out`` every
+    row, without it only the rows of negative slack, the violations.  A
+    record's genus is the trace's Selmer genus, which is the block's genus.
+    No semigroup or trace object is built.  The records form one stream, of
+    which only the violating records are kept.  With ``out``, each record is
+    encoded as soon as it is built and goes to ``write_jsonl``, which
+    appends them to ``out`` in record order; without it, the stream is
+    drained and no record is encoded.  Returns (records checked, violating
+    records in record order, slack histogram).
     """
-    from .enumeration import _walk
-
     stamp = _stamp(0)
     findings: list[dict] = []
     histogram: Counter = Counter()
 
     def records() -> Iterator[dict]:
-        for genus, apery, mask in _walk(max_genus):
+        for apery, mask in _hunt_batches(max_genus):
             m = apery.shape[1]
-            generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
-            columns = trace_columns(m, apery, np.where(mask, apery, m))
+            gens = np.where(mask, apery, m)
+            trace, maximal, residue, genus, frobenius, slack = trace_columns(m, apery, gens)
+            histogram.update(slack)
+            if out is None:  # only the violations become records
+                rows = [j for j, x in enumerate(slack) if x < 0]
+                if not rows:
+                    continue
+                apery, mask, gens, trace, maximal = (x[rows] for x in (apery, mask, gens, trace, maximal))
+                residue, genus, frobenius = ([x[j] for j in rows] for x in (residue, genus, frobenius))
+            generators = [(m, *g) for g in _sorted_rows(apery, mask)]
+            columns = trace, *trace_lists(m, apery, gens, trace, maximal), residue, genus, frobenius
             for g, inv in zip(generators, _payloads(m, apery, generators, columns)):
-                histogram[inv["slack"]] += 1
-                rec = build_record(g, {"kind": "hunt", "genus": genus}, stamp, inv)
+                rec = build_record(g, {"kind": "hunt", "genus": inv["genus"]}, stamp, inv)
                 if not inv["question_holds"]:
                     findings.append(rec)
                 yield rec
 
     if out is None:
-        deque(records(), maxlen=0)  # drained for the findings and the histogram
+        deque(records(), maxlen=0)  # drained for the findings
     else:
         write_jsonl(out, map(_keyed, records()))
     findings.sort(key=_keyed)
-    return sum(histogram.values()), findings, dict(sorted(histogram.items()))  # one slack per record
+    return sum(histogram.values()), findings, dict(sorted(histogram.items()))  # one slack per row
 
 
 # Keyed lines that ``write_jsonl`` holds in memory; each full buffer is

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from nsg.ideals import (
     minimal_generators,
     trace_and_residue,
     trace_columns,
+    trace_lists,
 )
 from nsg.semigroup import _BLOCK, gap_profile, new_semigroup, pseudo_frobenius
 
@@ -54,20 +56,27 @@ def by_multiplicity(xs):
     return list(groups.values())
 
 
-def as_rows(columns):
-    """``trace_columns`` output as one (trace class minima, trace minimal
-    generators, pf, residue, genus) tuple per row."""
-    trace, *lists = columns
-    return [(tuple(x), tuple(tg), tuple(pf), r, g) for x, tg, pf, r, g in zip(trace.tolist(), *lists)]
+def stage_rows(m, apery, gens):
+    """Both stages of the trace, ``trace_columns`` and then ``trace_lists``,
+    on the rows of one multiplicity m: one (trace class minima, trace
+    minimal generators, pf, residue, genus) tuple per row."""
+    trace, maximal, residue, genus, _, _ = trace_columns(m, apery, gens)
+    trace_gens, pfs = trace_lists(m, apery, gens, trace, maximal)
+    columns = trace.tolist(), trace_gens, pfs, residue, genus
+    return [(tuple(x), tuple(tg), tuple(pf), r, g) for x, tg, pf, r, g in zip(*columns, strict=True)]
+
+
+def padded(group):
+    """The Apery matrix and the minimal-generator matrix, padded with m, of
+    semigroups of one multiplicity m."""
+    m = group[0].multiplicity
+    width = max(len(s.generators) for s in group)
+    return np.array([s.apery for s in group]), np.array([s.generators + (m,) * (width - len(s.generators)) for s in group])
 
 
 def trace_rows(group):
-    """The rows of one ``trace_columns`` call on semigroups of one
-    multiplicity m, their generators padded with m."""
-    m = group[0].multiplicity
-    width = max(len(s.generators) for s in group)
-    gens = np.array([s.generators + (m,) * (width - len(s.generators)) for s in group])
-    return as_rows(trace_columns(m, np.array([s.apery for s in group]), gens))
+    """The ``stage_rows`` of semigroups of one multiplicity."""
+    return stage_rows(group[0].multiplicity, *padded(group))
 
 
 def report_row(s):
@@ -274,13 +283,18 @@ class TestTraceAndResidue:
 class TestTraceReports:
     def test_symmetry_cross_check_names_the_row(self, monkeypatch):
         # a trace equal to the semigroup has residue 0, which the symmetry
-        # count refutes for <3, 4, 5> (genus 2, F = 2) but not for <3, 5>
+        # count refutes for <3, 4, 5> (genus 2, F = 2) and <3, 5, 7> (genus
+        # 3, F = 4) but not for <3, 5>; the check names the first row it
+        # refutes
         import nsg.ideals
 
         monkeypatch.setattr(nsg.ideals, "_sum", lambda gens, x: x)
         monkeypatch.setattr(nsg.ideals, "_dual", lambda apery, gens: apery)
-        with pytest.raises(AssertionError, match=r"NumericalSemigroup\(\[3, 4, 5\]\).*genus 2, residue 0"):
-            trace_rows([new_semigroup([3, 5]), new_semigroup([3, 4, 5])])
+        with pytest.raises(AssertionError) as refused:
+            trace_rows([new_semigroup([3, 5]), new_semigroup([3, 4, 5]), new_semigroup([3, 5, 7])])
+        assert str(refused.value) == (
+            "symmetry test and residue disagree on NumericalSemigroup([3, 4, 5]): genus 2, residue 0"
+        )
 
     def test_genus_tree_in_one_call(self):
         # the tree to genus 12 with its genera interleaved, one call per multiplicity
@@ -310,6 +324,26 @@ def semigroup_lists(draw):
 def test_trace_reports_equal_one_by_one_in_input_order(xs):
     for group in by_multiplicity(xs):
         assert trace_rows(group) == [report_row(s) for s in group]
+
+
+@settings(max_examples=50, deadline=None)
+@given(semigroup_lists(), st.randoms(use_true_random=False))
+@example([new_semigroup(g) for g in ([3, 5, 7], [1], [3, 4], [5, 6, 7, 8, 9], [3, 5, 7], [4, 5, 7])], random.Random(0))
+def test_stages_on_chosen_rows_equal_one_by_one(xs, rng):
+    # the array stage on every row of a group, the list stage only on some
+    # of its rows (as the hunt lists only the rows that become records)
+    for group in by_multiplicity(xs):
+        m = group[0].multiplicity
+        apery, gens = padded(group)
+        trace, maximal, residue, genus, frobenius, slack = trace_columns(m, apery, gens)
+        rows = sorted(rng.sample(range(len(group)), rng.randint(1, len(group))))
+        trace_gens, pfs = trace_lists(m, apery[rows], gens[rows], trace[rows], maximal[rows])
+        for j, tg, pf in zip(rows, trace_gens, pfs, strict=True):
+            r = trace_and_residue(group[j])
+            assert (tuple(trace[j].tolist()), tuple(tg), tuple(pf)) == (r.trace.mins, r.trace_min_gens, r.pf)
+        for j, s in enumerate(group):
+            r = trace_and_residue(s)
+            assert (residue[j], genus[j], frobenius[j], slack[j]) == (r.residue, r.genus, s.frobenius, r.slack)
 
 
 @settings(max_examples=25, deadline=None)
@@ -576,16 +610,15 @@ def test_large_frobenius_ideal_memory(operation):
 def test_stacked_batch_memory():
     # 1,000 rows with m = 200 and 60 generators: one unblocked (rows x
     # generators x m) int64 gather takes 92 MiB, while a blocked one holds at
-    # most _BLOCK elements; beyond the columns it returns, the peak stays
+    # most _BLOCK elements; beyond the rows both stages return, the peak stays
     # under two such blocks
     s = new_semigroup(range(200, 260))
     apery, gens = np.array([s.apery] * 1000), np.array([s.generators] * 1000)
     tracemalloc.start()
     try:
-        columns = trace_columns(200, apery, gens)
+        rows = stage_rows(200, apery, gens)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = as_rows(columns)
     assert rows[0] == rows[-1] == report_row(s)
     assert peak - kept < 2 * 8 * _BLOCK

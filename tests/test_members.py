@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsg.enumeration import _walk
-from nsg.ideals import RelativeIdeal, dual_ideal, trace_and_residue, trace_columns
+from nsg.ideals import RelativeIdeal, dual_ideal, trace_and_residue, trace_columns, trace_lists
 from nsg.scan import _payloads, info_payload
 from nsg.semigroup import _members, _sorted_rows, gap_profile, new_semigroup
 
@@ -127,7 +127,9 @@ def test_level_payloads_equal_one_by_one():
     for apery, mask in [naturals, *((apery, mask) for _, apery, mask in _walk(12))]:
         m = apery.shape[1]
         generators = [(m, *gens) for gens in _sorted_rows(apery, mask)]
-        columns = trace_columns(m, apery, np.where(mask, apery, m))
+        gens = np.where(mask, apery, m)
+        trace, maximal, residue, genus, frobenius, _ = trace_columns(m, apery, gens)
+        columns = trace, *trace_lists(m, apery, gens, trace, maximal), residue, genus, frobenius
         payloads = list(_payloads(m, apery, generators, columns))
         batch = [new_semigroup(g) for g in generators]
         reports = [trace_and_residue(s) for s in batch]

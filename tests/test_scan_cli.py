@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -430,6 +431,62 @@ class TestHunt:
         assert histogram == dict(sorted(Counter(r["invariants_json"]["slack"] for r in expected).items()))
         assert hunt(10) == (checked, findings, histogram)
 
+    @pytest.mark.parametrize(
+        "genus, jsonl",
+        [
+            (12, "6bc6408f278199e277329ff14f4cc000389efef29469b545ba6560f9203f4725"),
+            (14, "05f039b0882db40703e41aff99e641e3bc33672d1e5e5efddce427ce34b5d6a7"),
+        ],
+        ids=["genus12", "genus14"],
+    )
+    def test_batches_leave_the_output_unchanged(self, tmp_path, monkeypatch, genus, jsonl):
+        # one block per array stage (rows 1), a few rows, the default and the
+        # whole multiplicity chain; the hashes are those of test_hunt_output_pinned
+        # and of the benchmark's hunt command
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        results = []
+        for rows in (1, 3, scan_mod._HUNT_ROWS, 10**9):
+            monkeypatch.setattr(scan_mod, "_HUNT_ROWS", rows)
+            out = tmp_path / f"hunt{rows}.jsonl"
+            written = hunt(genus, str(out))
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == jsonl
+            assert hunt(genus) == written
+            results.append(written)
+        assert results[1:] == results[:-1]
+
+    @pytest.mark.parametrize("rows", [1, 3, 256])
+    def test_batches_stack_whole_blocks_of_one_multiplicity(self, monkeypatch, rows):
+        from nsg.enumeration import _walk
+
+        monkeypatch.setattr(scan_mod, "_HUNT_ROWS", rows)
+        blocks = [(apery, mask) for _, apery, mask in _walk(11)]
+        batches = list(scan_mod._hunt_batches(11))
+        for part in (0, 1):  # every row once, in walk order
+            flat = [np.concatenate([b[part].ravel() for b in bs]) for bs in (blocks, batches)]
+            assert np.array_equal(*flat)
+        # each batch is a run of whole blocks: one block, or at most ``rows``
+        # rows that the next block of its multiplicity would push past rows
+        i = 0
+        for n, (apery, _) in enumerate(batches):
+            j = i + 1
+            while sum(len(a) for a, _ in blocks[i:j]) < len(apery):
+                j += 1
+            assert sum(len(a) for a, _ in blocks[i:j]) == len(apery)
+            assert j == i + 1 or len(apery) <= rows
+            if j < len(blocks) and blocks[j][0].shape[1] == apery.shape[1]:
+                assert len(apery) + len(blocks[j][0]) > rows
+            i = j
+        assert i == len(blocks)
+
+    def test_findings_without_out_match_the_written_ones(self, tmp_path, monkeypatch):
+        # genus 17 holds the first violations; without out only they are listed
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        records, findings, histogram = hunt_records(tmp_path, 17)
+        assert findings and hunt(17) == (len(records), findings, histogram)
+        assert findings == sorted((r for r in records if r["invariants_json"]["slack"] < 0), key=scan_mod._keyed)
+        for r in records:
+            assert r["provenance"]["genus"] == r["invariants_json"]["genus"]
+
     def test_no_run_file_is_left(self, tmp_path, monkeypatch, run_dir):
         hunt(6, str(tmp_path / "hunt.jsonl"))
         # a scan of 300 records in buffers of 3 spills 297 lines to the buckets
@@ -440,7 +497,7 @@ class TestHunt:
     def test_records_are_not_held(self, tmp_path):
         # holding every record until the end peaks near 2.9 MiB here, and
         # holding every encoded line near 1.1 MiB; the stream holds at most
-        # one run of lines and peaks near 0.74 MiB
+        # one run of lines and one batch of rows and peaks near 0.94 MiB
         tracemalloc.start()
         try:
             hunt(12, str(tmp_path / "hunt.jsonl"))

@@ -5,13 +5,15 @@
 A child interpreter imports ``nsg`` from SRC_DIR (default ``src`` beside
 this script) and feeds N (default 400000) synthetic ``_keyed`` lines of
 about 560 bytes, the size of a genus-22 hunt record, to
-``scan.write_jsonl`` with a new temporary file as its output.  Line i has
-the id ``sha256(str(i))[:16]``, so the ids arrive in no order.  The lines
-are made lazily, so they are never all held, and the child first times
-one pass that only makes them; the write's wall and CPU time are what the
-writing pass takes beyond that.  It reports those, the peak resident set
-size (``ru_maxrss``, which includes the interpreter), and the size and
-sha256 of the written file, here on a 2-core Xeon virtual machine:
+``scan.write_jsonl`` with a new file in a temporary directory as its
+output.  Line i has the id ``sha256(str(i))[:16]``, made with the built-in
+SHA-256 that ``nsg.scan`` loads itself, so the ids arrive in no order.  The
+lines are made lazily, so they are never all held, and the child first
+times one pass that only makes them; the write's wall and CPU time are
+what the writing pass takes beyond that.  It reports those and the peak
+resident set size (``ru_maxrss``, which includes the interpreter); this
+script then reads the size and sha256 of the written file itself, so the
+child loads no module for it.  Here on a 2-core Xeon virtual machine:
 
     400000 lines: write 1.49 s, cpu 1.49 s (making them 0.69 s), peak RSS 47.6 MiB, 218288890 bytes, sha256 913e1c47...
 
@@ -23,24 +25,30 @@ equal bytes.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 DEFAULT_LINES = 400_000
 
 CHILD = """
-import hashlib, json, os, resource, sys, tempfile, time
+import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
+try:  # the built-in SHA-256 that nsg.scan loads itself; hashlib would add OpenSSL
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 from nsg.scan import write_jsonl
-count = int(sys.argv[2])
+count, out = int(sys.argv[2]), sys.argv[3]
 pad = "x" * 500
 
 def lines():
     for i in range(count):
-        ident = hashlib.sha256(str(i).encode()).hexdigest()[:16]
+        ident = sha256(str(i).encode()).hexdigest()[:16]
         yield f'{ident} {{"id":"{ident}","n":{i},"pad":"{pad}"}}\\n'
 
 def timed(run):
@@ -49,33 +57,32 @@ def timed(run):
     return time.perf_counter() - wall, time.process_time() - cpu
 
 making = timed(lambda: sum(1 for _ in lines()))
-with tempfile.TemporaryDirectory() as tmp:
-    out = os.path.join(tmp, "out.jsonl")
-    wall, cpu = timed(lambda: write_jsonl(out, lines()))
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    digest = hashlib.sha256()
-    with open(out, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    size = os.path.getsize(out)
+wall, cpu = timed(lambda: write_jsonl(out, lines()))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 row = {
     "lines": count,
     "write_s": wall - making[0],
     "cpu_s": cpu - making[1],
     "making_s": making[0],
     "peak_rss_mib": peak,
-    "bytes": size,
-    "sha256": digest.hexdigest(),
 }
 print(json.dumps(row))
 """
 
 
 def measure(src: Path, lines: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(src), str(lines)], capture_output=True, text=True, check=True
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.jsonl")
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, str(src), str(lines), out], capture_output=True, text=True, check=True
+        )
+        row = json.loads(proc.stdout.splitlines()[-1])
+        digest = hashlib.sha256()
+        with open(out, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        row["bytes"], row["sha256"] = os.path.getsize(out), digest.hexdigest()
+    return row
 
 
 def main(argv: list[str]) -> None:
