@@ -18,7 +18,7 @@ from .errors import (
     MuNotMember,
     NonMinimalSequence,
 )
-from .ideals import RelativeIdeal, TraceReport, generated_ideal, minimal_generators, trace_and_residue
+from .ideals import RelativeIdeal, TraceReport, generated_ideal, minimal_generators, trace_and_residue, trace_reports
 from .semigroup import NumericalSemigroup, _Value, new_semigroup
 
 __all__ = [
@@ -124,8 +124,12 @@ def glue(spec: GluingSpec) -> NumericalSemigroup:
     return new_semigroup([spec.mu * a for a in spec.left.generators] + [spec.lam * b for b in spec.right.generators])
 
 
-def _glued_invariants(spec: GluingSpec, built: NumericalSemigroup) -> PredictedInvariants:
-    """``glued_invariants`` for a gluing already built by ``glue(spec)``.
+def _glued_invariants(
+    spec: GluingSpec, built: NumericalSemigroup, left: TraceReport, right: TraceReport
+) -> PredictedInvariants:
+    """``glued_invariants`` for a gluing already built by ``glue(spec)``,
+    from the trace reports ``left`` and ``right`` of its two factors, which
+    a gluing scan computes for a whole chunk of draws at once.
 
     The predicted trace is {mu*a + lam*b : a in tl, b in tr}, tl and tr the
     traces of the left and right factors: the ideal of the gluing generated
@@ -133,15 +137,14 @@ def _glued_invariants(spec: GluingSpec, built: NumericalSemigroup) -> PredictedI
     """
     lam, mu = spec.lam, spec.mu
     f1, f2 = spec.left.frobenius, spec.right.frobenius
-    rep1, rep2 = trace_and_residue(spec.left), trace_and_residue(spec.right)
-    pf = tuple(sorted({mu * g + lam * h + mu * lam for g in rep1.pf for h in rep2.pf}))
-    trace = generated_ideal(built, [mu * a + lam * b for a in rep1.trace_min_gens for b in rep2.trace_min_gens])
+    pf = tuple(sorted({mu * g + lam * h + mu * lam for g in left.pf for h in right.pf}))
+    trace = generated_ideal(built, [mu * a + lam * b for a in left.trace_min_gens for b in right.trace_min_gens])
     return PredictedInvariants(
         frobenius=mu * f1 + lam * f2 + mu * lam,
         pf=pf,
         trace_min_gens=minimal_generators(trace),
-        residue=mu * rep1.residue + lam * rep2.residue,
-        gap_bound=mu * rep1.gap_bound + lam * rep2.gap_bound,
+        residue=mu * left.residue + lam * right.residue,
+        gap_bound=mu * left.gap_bound + lam * right.gap_bound,
         provenance="gluing",
         trace_set=trace,
     )
@@ -149,7 +152,7 @@ def _glued_invariants(spec: GluingSpec, built: NumericalSemigroup) -> PredictedI
 
 def glued_invariants(spec: GluingSpec) -> PredictedInvariants:
     """Predict all invariants of the gluing from the factors alone."""
-    return _glued_invariants(spec, glue(spec))
+    return _glued_invariants(spec, glue(spec), *trace_reports([spec.left, spec.right]))
 
 
 def _check_lift(s: NumericalSemigroup, k: int) -> None:
@@ -174,8 +177,14 @@ def lift(s: NumericalSemigroup, k: int) -> NumericalSemigroup:
 def lifted_invariants(s: NumericalSemigroup, k: int) -> PredictedInvariants:
     """Predict the lift's invariants; the trace scales at generator level."""
     _check_lift(s, k)
+    return _lifted_invariants(s, k, trace_and_residue(s))
+
+
+def _lifted_invariants(s: NumericalSemigroup, k: int, report: TraceReport) -> PredictedInvariants:
+    """``lifted_invariants`` for a valid lift factor k, from the trace report
+    of ``s``, which a lifting scan computes for a whole chunk of draws at
+    once."""
     n1 = s.multiplicity
-    report = trace_and_residue(s)
     return PredictedInvariants(
         frobenius=k * s.frobenius + (k - 1) * n1,
         pf=tuple(sorted(k * f + (k - 1) * n1 for f in report.pf)),

@@ -1,7 +1,11 @@
 """Family scans, the gap-bound hunter, and JSONL persistence.
 
 Every scan record is a pure function of its instance parameters, so worker
-pools never affect content.  The hunt traces the genus tree in batches of
+pools never affect content.  Gluing and lifting scans draw ``_CHUNK``
+instances at a time and trace the factors of a whole chunk in one
+``trace_reports`` call when they verify; with one worker a chunk of at most
+``_CHUNK`` draws thus comes before its records, which are built and
+encoded one at a time.  The hunt traces the genus tree in batches of
 at most ``_HUNT_ROWS`` rows, one array stage of the trace per batch, and
 builds lists, payloads and records only for the rows that become records.
 Scans and the hunt stream their records into one writer, ``write_jsonl``,
@@ -34,14 +38,15 @@ from .constructions import (
     PredictedInvariants,
     VerificationOutcome,
     _glued_invariants,
+    _lifted_invariants,
     arithmetic_semigroup,
     glue,
     lift,
-    lifted_invariants,
     verify_construction,
 )
 from .errors import GluingError, InvalidSetting
-from .ideals import TraceReport, classification, gap_bound_check, trace_and_residue, trace_columns, trace_lists  # noqa: F401
+from .ideals import TraceReport, classification, gap_bound_check, trace_and_residue  # noqa: F401
+from .ideals import trace_columns, trace_lists, trace_reports
 from .semigroup import NumericalSemigroup, _Value, _members, _row, _sorted_rows, new_semigroup
 from .toric import acm_and_hypothesis
 
@@ -274,17 +279,17 @@ def random_lift(rng: random.Random, max_multiplicity: int, max_k: int = 7) -> tu
             return s, k
 
 
-_CHUNK = 64  # at most this many items to one pool task
+_CHUNK = 64  # at most this many draws to one factor trace, and items to one pool task
 _AHEAD = 2  # pool tasks in flight per worker
 
 
 def _pmap(fn: Callable, items: Iterable, count: int) -> Iterator:
     """``fn`` over the ``count`` ``items`` in order, lazily.  A single worker
-    consumes them one at a time, so an instance drawn lazily is freed once
-    its record is built.  A pool forks all its workers at once, so it has at
-    most one per CPU (and per item) whatever ``NSG_THREADS`` asks for; it
-    draws items only to submit a chunk, and keeps at most ``_AHEAD`` chunks
-    per worker in flight, so neither items nor finished records pile up."""
+    consumes them one at a time, so no result waits for the next item.  A
+    pool forks all its workers at once, so it has at most one per CPU (and
+    per item) whatever ``NSG_THREADS`` asks for; it draws items only to
+    submit a chunk, and keeps at most ``_AHEAD`` chunks per worker in
+    flight, so neither items nor finished records pile up."""
     workers = min(_setting("NSG_THREADS", 1, lambda n: n >= 1, "a positive integer"), os.cpu_count() or 1, count)
     if workers <= 1:
         yield from map(fn, items)
@@ -319,17 +324,30 @@ def _arithmetic_worker(args: tuple) -> dict:
 
 
 def _gluing_worker(args: tuple) -> dict:
-    spec, built, verify, stamp = args
+    spec, built, reports, stamp = args
     parents = [record_id(spec.left.generators), record_id(spec.right.generators)]
     provenance = {"kind": "gluing", "parents": parents, "lambda": spec.lam, "mu": spec.mu}
-    return _construction_record(built, provenance, stamp, _glued_invariants(spec, built) if verify else None)
+    predicted = _glued_invariants(spec, built, *reports) if reports else None
+    return _construction_record(built, provenance, stamp, predicted)
 
 
 def _lifting_worker(args: tuple) -> dict:
-    base, k, verify, stamp = args
+    base, k, reports, stamp = args
     built = lift(base, k)
     provenance = {"kind": "lifting", "parent": record_id(base.generators), "k": k}
-    return _construction_record(built, provenance, stamp, lifted_invariants(base, k) if verify else None)
+    predicted = _lifted_invariants(base, k, *reports) if reports else None
+    return _construction_record(built, provenance, stamp, predicted)
+
+
+def _with_reports(draws: Iterator[tuple], factors: Callable, verify: bool, stamp: dict) -> Iterator[tuple]:
+    """The items of a gluing or lifting scan: each draw, then the trace
+    reports of its ``factors`` when it is verified (None otherwise), then
+    the stamp.  Draws are made ``_CHUNK`` at a time, and one
+    ``trace_reports`` call traces the factors of a whole chunk."""
+    for chunk in iter(lambda: list(itertools.islice(draws, _CHUNK)), []):
+        reports = iter(trace_reports([s for draw in chunk for s in factors(*draw)]) if verify else ())
+        for draw in chunk:
+            yield *draw, [next(reports) for _ in factors(*draw)] if verify else None, stamp
 
 
 def scan_family(
@@ -341,8 +359,13 @@ def scan_family(
     ``limit`` caps the instance count; None means the family default: the
     whole grid for ``arithmetic`` and ``DEFAULT_LIMIT`` draws otherwise.
     Workers receive the drawn semigroups, specs and gluings themselves, not
-    their generators, so no drawn semigroup is rebuilt; with one worker each
-    draw is made just before its record, and no record is kept once it is
+    their generators, so no drawn semigroup is rebuilt.  Gluings and lifts
+    are drawn ``_CHUNK`` at a time (``_with_reports``), and with ``verify``
+    the factors of a chunk's gluings, or the bases of its lifts, are traced
+    in one ``trace_reports`` call, which traces each distinct one once; the
+    RNG draws come in the same order whatever the chunk size, so the output
+    does not depend on it.  With one worker a chunk of at most ``_CHUNK``
+    draws comes before its records, and no record is kept once it is
     encoded.
     """
     if limit is not None and limit < 0:
@@ -364,11 +387,13 @@ def scan_family(
         items = items[:limit]
         records = _pmap(_arithmetic_worker, items, len(items))
     elif family == "gluing":
-        draws = ((*_draw_gluing(rng, max_multiplicity), verify, stamp) for _ in range(count))
-        records = _pmap(_gluing_worker, draws, count)
+        draws = (_draw_gluing(rng, max_multiplicity) for _ in range(count))
+        items = _with_reports(draws, lambda spec, built: (spec.left, spec.right), verify, stamp)
+        records = _pmap(_gluing_worker, items, count)
     elif family == "lifting":
-        draws = ((*random_lift(rng, max_multiplicity), verify, stamp) for _ in range(count))
-        records = _pmap(_lifting_worker, draws, count)
+        draws = (random_lift(rng, max_multiplicity) for _ in range(count))
+        items = _with_reports(draws, lambda base, k: (base,), verify, stamp)
+        records = _pmap(_lifting_worker, items, count)
     else:
         raise ValueError(f"unknown family {family!r}")
     tally = [0] * 5  # the ScanSummary fields, in order

@@ -18,6 +18,21 @@ def semigroups(draw, max_multiplicity=12, max_extra=4):
     return new_semigroup(gens)
 
 
+@st.composite
+def semigroup_lists(draw):
+    """Lists with the naturals, duplicates, type-1 rows beside higher types
+    of the same multiplicity, and multiplicities that occur once."""
+    single = st.one_of(
+        semigroups(max_multiplicity=6),
+        st.integers(2, 6).map(lambda m: new_semigroup([m, m + 1])),
+        st.just(new_semigroup([1])),
+    )
+    xs = draw(st.lists(single, max_size=10))
+    if xs:
+        xs += draw(st.lists(st.sampled_from(xs), max_size=3))
+    return draw(st.permutations(xs))
+
+
 # both ends of the 64-bit integer range a JSON record may use, and their neighbours
 INT_EDGES = (-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1)
 

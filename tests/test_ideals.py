@@ -18,6 +18,7 @@ from nsg.ideals import (
     trace_and_residue,
     trace_columns,
     trace_lists,
+    trace_reports,
 )
 from nsg.semigroup import _BLOCK, gap_profile, new_semigroup, pseudo_frobenius
 
@@ -34,7 +35,7 @@ from oracles import (
     tree_by_genus,
     window,
 )
-from strategies import semigroups
+from strategies import semigroup_lists, semigroups
 
 
 def whole_semigroup_ideal(s):
@@ -303,27 +304,40 @@ class TestTraceReports:
             assert trace_rows(group) == [report_row(s) for s in group]
 
 
-@st.composite
-def semigroup_lists(draw):
-    """Lists with the naturals, duplicates, type-1 rows beside higher types
-    of the same multiplicity, and multiplicities that occur once."""
-    single = st.one_of(
-        semigroups(max_multiplicity=6),
-        st.integers(2, 6).map(lambda m: new_semigroup([m, m + 1])),
-        st.just(new_semigroup([1])),
-    )
-    xs = draw(st.lists(single, max_size=10))
-    if xs:
-        xs += draw(st.lists(st.sampled_from(xs), max_size=3))
-    return draw(st.permutations(xs))
-
-
 @settings(max_examples=50, deadline=None)
 @given(semigroup_lists())
 @example([new_semigroup(g) for g in ([3, 5, 7], [1], [3, 4], [5, 6, 7, 8, 9], [3, 5, 7], [4, 5, 7])])
 def test_trace_reports_equal_one_by_one_in_input_order(xs):
     for group in by_multiplicity(xs):
         assert trace_rows(group) == [report_row(s) for s in group]
+
+
+@settings(max_examples=50, deadline=None)
+@given(semigroup_lists())
+@example([])
+@example([new_semigroup([1])])
+@example([new_semigroup([4, 6, 9])])
+@example([new_semigroup(g) for g in ([3, 5, 7], [1], [3, 4], [5, 6, 7, 8, 9], [3, 5, 7], [4, 5, 7], [1], [3, 4])])
+def test_trace_reports_equal_the_one_row_trace(xs):
+    assert trace_reports(xs) == [trace_and_residue(s) for s in xs]
+
+
+def test_trace_reports_trace_each_distinct_semigroup_once(monkeypatch):
+    # one array stage per multiplicity, one row per distinct semigroup
+    import nsg.ideals
+
+    stages = []
+    columns = nsg.ideals.trace_columns
+
+    def counted(m, apery, gens):
+        stages.append((m, len(apery)))
+        return columns(m, apery, gens)
+
+    xs = [new_semigroup(g) for g in ([3, 5, 7], [4, 5, 6, 7], [3, 4], [3, 5, 7], [1], [4, 6, 9], [3, 4], [1])]
+    monkeypatch.setattr(nsg.ideals, "trace_columns", counted)
+    reports = trace_reports(xs)
+    assert stages == [(3, 2), (4, 2), (1, 1)]
+    assert reports[0] is reports[3] and reports[2] is reports[6] and reports[4] is reports[7]
 
 
 @settings(max_examples=50, deadline=None)

@@ -175,19 +175,42 @@ class TestScanFamilies:
 
         def counting_glue(spec):
             built = glue(spec)
-            events.append("glue")
+            events.append(("glue", built))
             return built
 
         def counting_worker(args):
-            events.append("record")
+            events.append(("record", args[1]))
             return gluing_worker(args)
 
         monkeypatch.setattr(scan_mod, "glue", counting_glue)
         monkeypatch.setattr(scan_mod, "_gluing_worker", counting_worker)
+        monkeypatch.setattr(scan_mod, "_CHUNK", 3)
         records, _ = scan_records(tmp_path, "gluing", seed=42, limit=10, max_multiplicity=8, verify=True)
-        # one build per record, drawn just before it: no drawn gluing waits in a list
         assert len(records) == 10
-        assert events == ["glue", "record"] * 10
+        # each record gets the very gluing its draw built, in draw order: one
+        # build per record
+        built = [x for kind, x in events if kind == "glue"]
+        recorded = [x for kind, x in events if kind == "record"]
+        assert len(built) == len(recorded) == 10
+        assert all(a is b for a, b in zip(built, recorded))
+        # draws come a chunk at a time, so at most _CHUNK drawn gluings wait
+        waiting = 0
+        for kind, _ in events:
+            waiting += 1 if kind == "glue" else -1
+            assert 0 <= waiting <= 3
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("family", ["gluing", "lifting"])
+    def test_chunks_leave_the_output_unchanged(self, tmp_path, monkeypatch, family, verify):
+        # one draw per chunk, a few, the default and the whole scan in one
+        # chunk: the same bytes and summary; 70 draws make two default chunks
+        outputs = set()
+        for chunk in (1, 3, scan_mod._CHUNK, 10**9):
+            monkeypatch.setattr(scan_mod, "_CHUNK", chunk)
+            out = tmp_path / f"{family}{chunk}.jsonl"
+            summary = scan_family(family, seed=7, limit=70, max_multiplicity=9, out=str(out), verify=verify)
+            outputs.add((out.read_bytes(), summary.line()))
+        assert len(outputs) == 1
 
     def test_lifting_scan_verifies(self, tmp_path):
         _, summary = scan_records(tmp_path, "lifting", seed=42, limit=25, max_multiplicity=10, verify=True)
