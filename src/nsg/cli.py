@@ -20,7 +20,7 @@ import click
 
 from .constructions import GluingSpec, _glued_invariants, glue, lift, lifted_invariants, verify_construction
 from .errors import NsgError
-from .ideals import trace_and_residue, trace_reports
+from .ideals import trace_and_residue
 from .scan import DEFAULT_LIMIT, canonical_json, hunt as run_hunt, info_payload, scan_family
 from .semigroup import NumericalSemigroup, new_semigroup
 from .toric import acm_and_hypothesis
@@ -139,7 +139,8 @@ def glue_cmd(left: str, right: str, lam: int, mu: int, verify: bool, as_json: bo
     l, r = _parse_generators(left), _parse_generators(right)
     spec = GluingSpec(l, r, lam, mu)
     built = glue(spec)
-    _report_construction(_glued_invariants(spec, built, *trace_reports([l, r])), built, verify, as_json)
+    predicted = _glued_invariants(spec, built, trace_and_residue(l), trace_and_residue(r))
+    _report_construction(predicted, built, verify, as_json)
 
 
 @main.command(name="lift")

@@ -18,7 +18,7 @@ from .errors import (
     MuNotMember,
     NonMinimalSequence,
 )
-from .ideals import RelativeIdeal, TraceReport, generated_ideal, minimal_generators, trace_and_residue, trace_reports
+from .ideals import RelativeIdeal, TraceReport, generated_ideal, minimal_generators, trace_and_residue
 from .semigroup import NumericalSemigroup, _Value, new_semigroup
 
 __all__ = [
@@ -152,7 +152,7 @@ def _glued_invariants(
 
 def glued_invariants(spec: GluingSpec) -> PredictedInvariants:
     """Predict all invariants of the gluing from the factors alone."""
-    return _glued_invariants(spec, glue(spec), *trace_reports([spec.left, spec.right]))
+    return _glued_invariants(spec, glue(spec), trace_and_residue(spec.left), trace_and_residue(spec.right))
 
 
 def _check_lift(s: NumericalSemigroup, k: int) -> None:

@@ -38,9 +38,10 @@ def test_two_sides_report_times_memory_and_digests():
     assert 0 <= result["change_lower_in"] <= 2
 
 
-def test_lifting_scans_on_one_side():
+def test_lifting_scans_on_one_side_with_two_workers():
+    smoke = ["--limit", "3", "--commands", "1", "--threads", "2", "--rounds", "1"]
     proc = subprocess.run(
-        [sys.executable, str(TOOL), "--family", "lifting", "--limit", "3", "--commands", "1", "--rounds", "1"],
+        [sys.executable, str(TOOL), "--family", "lifting", *smoke],
         capture_output=True,
         text=True,
         check=True,

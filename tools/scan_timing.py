@@ -1,21 +1,22 @@
 """Time scan commands in alternating fresh processes, one checkout against another.
 
     python tools/scan_timing.py [--src PARENT_SRC] [--family gluing|lifting]
-        [--seed S] [--commands N] [--limit N] [--max-multiplicity M]
+        [--commands N] [--limit N] [--max-multiplicity M] [--threads T]
         [--rounds R] [--json]
 
-The commands are ``nsg scan FAMILY --seed S+j --limit N --max-multiplicity M
+The commands are ``nsg scan FAMILY --seed j --limit N --max-multiplicity M
 --verify --out FILE`` for j = 0 .. N-1; the defaults (gluing, seeds 0-6,
 limit 100, max multiplicity 10) are the seven commands of the benchmark's
 ``glue`` workload, and ``--family lifting`` runs lifting scans instead.
 Each command runs as ``python -m nsg.cli`` in a fresh child with ``nsg``
-imported from a ``src`` directory, NSG_THREADS=1 and SOURCE_DATE_EPOCH=0,
-once per round on each side: the ``src`` beside this script (the change)
-and, with ``--src``, PARENT_SRC (the parent), alternating which side runs
-first.  For each side it reports, as the benchmark does, the mean over the
-commands of the median over the rounds of the wall time until the child
-has exited, its user + system CPU time and its peak resident set size
-(``os.wait4``), and it counts the rounds in which the change's total wall
+imported from a ``src`` directory, NSG_THREADS=T (1 by default) and
+SOURCE_DATE_EPOCH=0, once per round on each side: the ``src`` beside this
+script (the change) and, with ``--src``, PARENT_SRC (the parent),
+alternating which side runs first.  For each side it reports, as the
+benchmark does, the mean over the commands of the median over the rounds
+of the wall time until the child has exited, its user + system CPU time
+and its peak resident set size (``os.wait4``, which counts the child's
+pool workers in the CPU time), and it counts the rounds in which the change's total wall
 time was lower.  This script computes the sha256 of every output itself,
 after the child has exited, so the child loads no ``hashlib``, and it says
 whether both sides wrote the same bytes.  On a shared 2-core Xeon virtual
@@ -52,10 +53,10 @@ def command(family: str, seed: int, limit: int, max_multiplicity: int, out: str)
     ]
 
 
-def run(src: Path, argv: list[str], out: str) -> dict:
-    """Run ``argv`` to completion with ``nsg`` from ``src``; its wall and CPU
-    time, peak RSS and the sha256 of ``out``."""
-    env = {**os.environ, "PYTHONPATH": str(src), "NSG_THREADS": "1", "SOURCE_DATE_EPOCH": "0"}
+def run(src: Path, argv: list[str], out: str, threads: int) -> dict:
+    """Run ``argv`` to completion with ``nsg`` from ``src`` and NSG_THREADS
+    ``threads``; its wall and CPU time, peak RSS and the sha256 of ``out``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "NSG_THREADS": str(threads), "SOURCE_DATE_EPOCH": "0"}
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -70,7 +71,7 @@ def run(src: Path, argv: list[str], out: str) -> dict:
 
 
 def measure(sides: dict[str, Path], family: str, seeds: list[int], limit: int, max_multiplicity: int,
-            rounds: int) -> dict:
+            threads: int, rounds: int) -> dict:
     """Every command once per round on each side, the side that goes first
     alternating by round; the samples per side and command."""
     samples = {side: {seed: [] for seed in seeds} for side in sides}
@@ -81,7 +82,7 @@ def measure(sides: dict[str, Path], family: str, seeds: list[int], limit: int, m
             for seed in seeds:
                 argv = command(family, seed, limit, max_multiplicity, out)
                 for side in order:
-                    samples[side][seed].append(run(sides[side], argv, out))
+                    samples[side][seed].append(run(sides[side], argv, out, threads))
     return samples
 
 
@@ -103,18 +104,18 @@ def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, help="the parent checkout's src, timed against the one beside this script")
     parser.add_argument("--family", choices=("gluing", "lifting"), default="gluing")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--commands", type=int, default=7)
     parser.add_argument("--limit", type=int, default=100)
     parser.add_argument("--max-multiplicity", type=int, default=10)
+    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
     sides = {"change": HERE} if args.src is None else {"change": HERE, "parent": args.src.resolve()}
-    seeds = list(range(args.seed, args.seed + args.commands))
-    samples = measure(sides, args.family, seeds, args.limit, args.max_multiplicity, args.rounds)
+    seeds = list(range(args.commands))
+    samples = measure(sides, args.family, seeds, args.limit, args.max_multiplicity, args.threads, args.rounds)
     result = {"family": args.family, "seeds": seeds, "limit": args.limit, "max_multiplicity": args.max_multiplicity,
-              "rounds": args.rounds, **summary(samples)}
+              "threads": args.threads, "rounds": args.rounds, **summary(samples)}
     if args.src is not None:
         totals = {side: [sum(samples[side][seed][r]["wall_s"] for seed in seeds) for r in range(args.rounds)]
                   for side in sides}
